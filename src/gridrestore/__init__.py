@@ -58,8 +58,10 @@ from .oracle import (
 )
 from .powerflow import (
     ConstraintReport,
+    Island,
     PowerFlowSolution,
     check_constraints,
+    islands,
     restored_power,
     solve,
 )

@@ -1,10 +1,11 @@
 """Markov decision process over breaker switching in a partitioned feeder.
 
 Each agent owns the breakers of one microgrid and sees only their states.
-A step applies every agent's toggle simultaneously, solves the power flow,
-and returns the per-agent observations, the shared normalized reward
-(weighted restored power over total rated load), and a validity oracle for
-candidate joint actions from the new state.
+A step applies every agent's toggle simultaneously, looks up the power-flow
+verdict of the new state, and returns the per-agent observations and the
+shared normalized reward (weighted restored power over total rated load).
+Verdicts are solved and memoized per island (see ``powerflow.islands``): a
+state is feasible when every island's sub-state is.
 
 Two reward modes:
 
@@ -12,6 +13,7 @@ Two reward modes:
     The caller must pre-validate joint actions (``validate_joint``); stepping
     an invalid one is a contract violation and raises. Rewards are always the
     normalized restored power, and the constraint-violation counter stays 0.
+    Construction checks that the all-open reset state is feasible.
 ``penalty``
     Any action is applied. If the resulting state violates a constraint (or
     the power flow diverges), the reward is the penalty value M instead.
@@ -20,12 +22,11 @@ Two reward modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .feeder import Feeder
-from .powerflow import PowerFlowSolution, check_constraints, solve
+from .powerflow import check_constraints, islands, solve
 
 
 class EpisodeExhausted(RuntimeError):
@@ -63,11 +64,9 @@ class JointAction:
 class StepResult:
     observations: tuple[Observation, ...]
     reward: float
-    mask_oracle: Callable[[JointAction], bool]
     served_kw: float
     weighted_kw: float
     constraints_ok: bool
-    solution: PowerFlowSolution
 
 
 def encode_action(breaker_ordinal: int, close: bool) -> AgentAction:
@@ -109,9 +108,20 @@ class RestorationEnv:
         self.step_count = 0
         self.violation_count = 0
         self._denominator = feeder.total_load_kw()
-        # Compact feasibility memo keyed by state bytes; results are pure
-        # functions of the state, so memoization cannot change behavior.
-        self._feas_cache: dict[bytes, tuple[bool, float, float]] = {}
+        self._islands = [
+            (np.array(isl.breakers, dtype=np.intp), isl.feeder) for isl in islands(feeder)
+        ]
+        # Feasibility memo keyed by (island, island bits); verdicts are pure
+        # functions of the sub-state, so memoization cannot change behavior.
+        self._feas_cache: dict[tuple[int, bytes], tuple[bool, float, float]] = {}
+        if reward_mode == "masked":
+            for sub, (ok, _, _) in self._island_verdicts(self._states):
+                if not ok:
+                    raise ValueError(
+                        f"the island of generators {', '.join(g.id for g in sub.generators)} "
+                        "violates a constraint with all breakers open; masked mode needs "
+                        "that state feasible"
+                    )
 
     # -- geometry ---------------------------------------------------------------
 
@@ -148,12 +158,10 @@ class RestorationEnv:
         self.step_count = 0
         return self.observations()
 
-    def _candidate_states(
-        self, joint: JointAction, base: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _candidate_states(self, joint: JointAction) -> np.ndarray:
         if len(joint.actions) != self.n_agents:
             raise ValueError("joint action length must equal the agent count")
-        nxt = (self._states if base is None else base).copy()
+        nxt = self._states.copy()
         for agent, action in enumerate(joint.actions):
             group = self.agent_breakers[agent]
             ordinal, close = decode_action(action)
@@ -164,19 +172,25 @@ class RestorationEnv:
             nxt[group[ordinal]] = 1 if close else 0
         return nxt
 
+    def _island_verdicts(self, states: np.ndarray):
+        """(island sub-feeder, (feasible, served kW, weighted kW)) per island."""
+        for k, (positions, sub) in enumerate(self._islands):
+            bits = states[positions]
+            key = (k, bits.tobytes())
+            hit = self._feas_cache.get(key)
+            if hit is None:
+                solution = solve(sub, bits)
+                report = check_constraints(sub, solution)
+                hit = (report.all_ok, solution.served_load_kw, solution.served_weighted_kw)
+                self._feas_cache[key] = hit
+            yield sub, hit
+
     def _feasibility(self, states: np.ndarray) -> tuple[bool, float, float]:
-        key = states.tobytes()
-        hit = self._feas_cache.get(key)
-        if hit is None:
-            solution = solve(self.feeder, states)
-            report = check_constraints(self.feeder, solution)
-            hit = (
-                report.all_ok,
-                solution.served_load_kw,
-                solution.served_weighted_kw,
-            )
-            self._feas_cache[key] = hit
-        return hit
+        """The AND of the island verdicts and the sums of their served power."""
+        ok, served, weighted = True, 0.0, 0.0
+        for _, verdict in self._island_verdicts(states):
+            ok, served, weighted = ok and verdict[0], served + verdict[1], weighted + verdict[2]
+        return ok, served, weighted
 
     def _reward_of(self, weighted_kw: float) -> float:
         return weighted_kw / self._denominator if self._denominator > 0 else 0.0
@@ -206,37 +220,22 @@ class RestorationEnv:
                 f"episode already ran {self.max_steps} steps; reset() first"
             )
         nxt = self._candidate_states(joint)
-        solution = solve(self.feeder, nxt)
-        report = check_constraints(self.feeder, solution)
-        self._feas_cache[nxt.tobytes()] = (
-            report.all_ok,
-            solution.served_load_kw,
-            solution.served_weighted_kw,
-        )
-        if self.reward_mode == "masked" and not report.all_ok:
+        ok, served, weighted = self._feasibility(nxt)
+        if self.reward_mode == "masked" and not ok:
             raise InvalidJointAction(
                 "masked-mode step received a constraint-violating joint action"
             )
-        if report.all_ok:
-            reward = self._reward_of(solution.served_weighted_kw)
+        if ok:
+            reward = self._reward_of(weighted)
         else:
             self.violation_count += 1
             reward = self.penalty
         self._states = nxt
         self.step_count += 1
-
-        frozen = nxt.copy()
-
-        def mask_oracle(candidate: JointAction, _base=frozen) -> bool:
-            ok, _, _ = self._feasibility(self._candidate_states(candidate, _base))
-            return ok
-
         return StepResult(
             observations=self.observations(),
             reward=reward,
-            mask_oracle=mask_oracle,
-            served_kw=solution.served_load_kw,
-            weighted_kw=solution.served_weighted_kw,
-            constraints_ok=report.all_ok,
-            solution=solution,
+            served_kw=served,
+            weighted_kw=weighted,
+            constraints_ok=ok,
         )

@@ -20,8 +20,10 @@ EXPLORE_RESAMPLE_CAP = 1000
 
 
 class MaskingError(RuntimeError):
-    """Selection failed to find a valid joint action; indicates an
-    environment bug, since all-open no-op toggles are always valid."""
+    """Selection failed to find a valid joint action. Exploitation falls back
+    to no-op open toggles, which keep the current state, feasible since the
+    all-open reset (checked when a masked ``RestorationEnv`` is built); an
+    agent with every breaker closed has no no-op, so that can still fail."""
 
 
 def explore_joint(validate, action_counts, rng: np.random.Generator) -> JointAction:

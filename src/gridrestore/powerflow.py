@@ -20,12 +20,13 @@ it is flagged on the solution and counts as failing every constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .feeder import Feeder
+from .feeder import Feeder, MicrogridPartition
 
 MAX_ITERATIONS = 100
 VOLTAGE_TOLERANCE = 1e-6
@@ -79,6 +80,13 @@ class ConstraintReport:
         )
 
 
+class Island(NamedTuple):
+    """One full-closure connected component of a feeder."""
+
+    breakers: tuple[int, ...]  # global breaker positions, ascending
+    feeder: Feeder             # the feeder restricted to this component
+
+
 class _NetworkIndex:
     """Static arrays derived from a feeder, shared by every solve call."""
 
@@ -122,10 +130,53 @@ class _NetworkIndex:
             self.adjacency[f].append((li, t))
             self.adjacency[t].append((li, f))
 
+    @cached_property
+    def islands(self) -> tuple[Island, ...]:
+        feeder = self.feeder
+        comp = _components(self, np.ones(len(self.line_ids), dtype=bool)).tolist()
+        bus_comp = dict(zip(self.bus_pos, comp))
+        line_comp = {ln.id: bus_comp[ln.from_bus] for ln in feeder.lines}
+        out = []
+        for root in dict.fromkeys(comp):  # components in order of first bus
+            positions = tuple(
+                i for i, b in enumerate(feeder.breakers) if line_comp[b.line_id] == root
+            )
+            breakers = tuple(feeder.breakers[i] for i in positions)
+            loads = tuple(ld for ld in feeder.loads if bus_comp[ld.bus_id] == root)
+            gens = tuple(g for g in feeder.generators if bus_comp[g.bus_id] == root)
+            if breakers or loads or gens:
+                sub = replace(
+                    feeder,
+                    buses=tuple(b for b in feeder.buses if bus_comp[b.id] == root),
+                    lines=tuple(ln for ln in feeder.lines if line_comp[ln.id] == root),
+                    breakers=breakers,
+                    loads=loads,
+                    generators=gens,
+                    partition=MicrogridPartition(
+                        (tuple(b.id for b in breakers),) if breakers else ()
+                    ),
+                )
+                out.append(Island(positions, sub))
+        return tuple(out)
 
-@lru_cache(maxsize=64)
+
 def _network_index(feeder: Feeder) -> _NetworkIndex:
-    return _NetworkIndex(feeder)
+    # Kept on the feeder object itself: a cache keyed by the frozen feeder
+    # would hash every one of its elements on each lookup.
+    idx = feeder.__dict__.get("_network_index")
+    if idx is None:
+        idx = feeder.__dict__["_network_index"] = _NetworkIndex(feeder)
+    return idx
+
+
+def islands(feeder: Feeder) -> tuple[Island, ...]:
+    """Full-closure components that hold a breaker, a load or a generator.
+
+    No line joins two islands, so a breaker state is feasible exactly when
+    every island's sub-state is, and served power is the sum over islands.
+    Computed once per feeder object, in order of each island's first bus.
+    """
+    return _network_index(feeder).islands
 
 
 def _conducting(idx: _NetworkIndex, states) -> np.ndarray:

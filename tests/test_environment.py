@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,10 @@ from gridrestore import (
     LoadPoint,
     MicrogridPartition,
     RestorationEnv,
+    check_constraints,
     decode_action,
     encode_action,
+    solve,
 )
 
 
@@ -100,19 +105,6 @@ def test_validate_joint_is_pure(env13):
     for index in range(8):
         env13.validate_joint(joint(index, index))
     assert (env13.breaker_states, env13.step_count, env13.violation_count) == snapshot
-
-
-def test_mask_oracle_is_a_snapshot(env13):
-    result = env13.step(joint(encode_action(0, True).index, 1))
-    oracle = result.mask_oracle
-    probe = joint(encode_action(3, True).index, 1)  # close the 200 kW load
-    # From the snapshot (230 kW closed) the probe is feasible (430 <= 590).
-    assert oracle(probe) is True
-    # Advance the live state to 230+170 kW, where the probe would overload.
-    env13.step(joint(encode_action(1, True).index, 1))
-    assert env13.validate_joint(probe) is False
-    # The handle still answers from its frozen state.
-    assert oracle(probe) is True
 
 
 def test_masked_step_rejects_invalid_joint(ieee13):
@@ -230,3 +222,65 @@ def test_a_valid_joint_action_always_exists(ieee13):
         candidate = joint(*(int(rng.integers(n)) for n in sizes))
         if env.validate_joint(candidate):
             env.step(candidate)
+
+
+def whole_feeder_verdict(feeder, states):
+    solution = solve(feeder, states)
+    report = check_constraints(feeder, solution)
+    return report.all_ok, solution.served_load_kw, solution.served_weighted_kw
+
+
+def test_island_verdicts_equal_whole_feeder_solves(ieee13, ieee123):
+    # Exact equality, no tolerance: the per-island memo must reproduce the
+    # whole-feeder verdict and served power bit for bit.
+    env = RestorationEnv(ieee13)
+    for bits in itertools.product((0, 1), repeat=9):
+        states = np.array(bits, dtype=np.int8)
+        assert env._feasibility(states) == whole_feeder_verdict(ieee13, states)
+    env = RestorationEnv(ieee123)
+    rng = np.random.default_rng(47)
+    for _ in range(1000):
+        states = rng.integers(0, 2, 26).astype(np.int8)
+        assert env._feasibility(states) == whole_feeder_verdict(ieee123, states)
+
+
+def test_masked_env_requires_feasible_all_open(ieee13):
+    g1 = dataclasses.replace(ieee13.generators[0], p_min=50.0)
+    feeder = dataclasses.replace(ieee13, generators=(g1, *ieee13.generators[1:]))
+    with pytest.raises(ValueError, match="g1"):
+        RestorationEnv(feeder)
+    env = RestorationEnv(feeder, reward_mode="penalty")
+    env.reset()
+    result = env.step(NOOP13)
+    assert not result.constraints_ok
+    assert env.violation_count == 1
+
+
+def test_generator_only_island_counts_in_every_verdict():
+    # Island "c" has a generator and nothing else: with p_min > 0 it can never
+    # meet its minimum output, so no state of the feeder is feasible.
+    feeder = Feeder(
+        name="idle-generator",
+        s_base_kva=1000.0,
+        v_base_kv=4.16,
+        buses=(Bus("a"), Bus("b"), Bus("c")),
+        lines=(Line("l1", "a", "b", 0.001, 0.002, 500.0),),
+        breakers=(Breaker("cb", "l1", 0),),
+        loads=(
+            LoadPoint("ld", "b", 100.0, 30.0, 0.5, "cb"),
+            LoadPoint("ld0", "a", 40.0, 12.0, 1.0, ""),
+        ),
+        generators=(
+            Generator("g1", "a", 0.0, 300.0, 0.0, 200.0),
+            Generator("g2", "c", 10.0, 300.0, 0.0, 200.0),
+        ),
+        partition=MicrogridPartition((("cb",),)),
+    )
+    env = RestorationEnv(feeder, reward_mode="penalty")
+    for bits in ((0,), (1,)):
+        states = np.array(bits, dtype=np.int8)
+        verdict = env._feasibility(states)
+        assert verdict == whole_feeder_verdict(feeder, states)
+        assert verdict[0] is False
+    with pytest.raises(ValueError, match="g2"):
+        RestorationEnv(feeder)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -115,29 +116,27 @@ def test_uncovered_breaker_violation(ieee13):
     partition = MicrogridPartition(
         (ieee13.partition.assignments[0], ieee13.partition.assignments[1][:-4])
     )
-    broken = Feeder(**{**ieee13.__dict__, "partition": partition})
+    broken = dataclasses.replace(ieee13, partition=partition)
     violations = validate_feeder(broken)
     assert any("uncovered breaker" in v for v in violations)
 
 
 def test_cycle_is_non_radial(ieee13):
     extra = Line("tie", "mg1", "mg1b", 0.001, 0.002, 500.0)
-    broken = Feeder(**{**ieee13.__dict__, "lines": ieee13.lines + (extra,)})
+    broken = dataclasses.replace(ieee13, lines=ieee13.lines + (extra,))
     assert any("non-radial topology" in v for v in validate_feeder(broken))
 
 
 def test_misc_violations(ieee13):
     bad_weight = LoadPoint("ldx", "mg1", 10.0, 3.0, 1.5, "cb1")
-    broken = Feeder(**{**ieee13.__dict__, "loads": ieee13.loads + (bad_weight,)})
+    broken = dataclasses.replace(ieee13, loads=ieee13.loads + (bad_weight,))
     assert any("weight outside" in v for v in validate_feeder(broken))
 
-    dup = Feeder(**{**ieee13.__dict__, "buses": ieee13.buses + (Bus("mg1"),)})
+    dup = dataclasses.replace(ieee13, buses=ieee13.buses + (Bus("mg1"),))
     assert any("duplicate bus" in v for v in validate_feeder(dup))
 
     inverted = Generator("gx", "mg1", 10.0, 5.0, 0.0, 0.0)
-    broken = Feeder(
-        **{**ieee13.__dict__, "generators": ieee13.generators + (inverted,)}
-    )
+    broken = dataclasses.replace(ieee13, generators=ieee13.generators + (inverted,))
     assert any("inverted limits" in v for v in validate_feeder(broken))
 
 

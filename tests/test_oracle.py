@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from gridrestore import (
     check_constraints,
     decomposed_optimum,
     gray_states,
+    islands,
     solve,
 )
-from gridrestore.oracle import island_blocks, load_result, save_result
+from gridrestore.oracle import load_result, save_result
 from reference import random_radial_feeder, recursive_best
 
 IEEE13_BEST = (0, 1, 1, 0, 0, 0, 1, 0, 1)  # cb2, cb3, cb7, cb9
@@ -65,7 +68,7 @@ def test_ieee13_strategies_agree(ieee13):
 
 def test_auto_uses_decomposition_on_islands(ieee13, ieee123):
     assert brute_force(ieee13).method == "decomposed"
-    assert island_blocks(ieee123) is not None
+    assert len(islands(ieee123)) == 5
 
 
 def test_ieee123_decomposed_optimum(ieee123):
@@ -164,8 +167,9 @@ def test_breaker_cap_enforced():
         brute_force(feeder)
 
 
-def test_decomposition_rejects_entangled_microgrids():
-    # Two breakers on one island split across two agents: not decomposable.
+def test_decomposition_is_exact_on_entangled_microgrids():
+    # Two breakers on one island split across two agents: one island, so
+    # decomposed enumerates the whole feeder and auto prefers gray.
     feeder = Feeder(
         name="entangled",
         s_base_kva=1000.0,
@@ -183,10 +187,140 @@ def test_decomposition_rejects_entangled_microgrids():
         generators=(Generator("g", "a", 0.0, 300.0, 0.0, 200.0),),
         partition=MicrogridPartition((("cb1",), ("cb2",))),
     )
-    assert island_blocks(feeder) is None
-    with pytest.raises(ValueError):
-        decomposed_optimum(feeder)
+    assert len(islands(feeder)) == 1
+    assert strip_method(decomposed_optimum(feeder)) == strip_method(
+        brute_force(feeder, method="naive")
+    )
     assert brute_force(feeder).method == "gray"
+
+
+def assert_matches_naive(feeder, result):
+    naive = brute_force(feeder, method="naive")
+    assert result.best_states == naive.best_states
+    assert result.feasible_count == naive.feasible_count
+    assert result.best_weighted_kw == pytest.approx(naive.best_weighted_kw, abs=1e-9)
+    assert result.best_served_kw == pytest.approx(naive.best_served_kw, abs=1e-9)
+
+
+def test_auto_is_exact_when_all_open_is_infeasible(ieee13):
+    # With g1 held at 50 kW or more, microgrid 1 all-open is infeasible;
+    # enumerating it with the other island all-open found nothing feasible.
+    g1 = dataclasses.replace(ieee13.generators[0], p_min=50.0)
+    feeder = dataclasses.replace(ieee13, generators=(g1, *ieee13.generators[1:]))
+    result = brute_force(feeder)
+    assert result.method == "decomposed"
+    assert result.best_served_kw == 2563.0
+    assert_matches_naive(feeder, result)
+
+
+def _two_island_feeder():
+    # Island 1 also carries a 40 kW load on its generator bus, behind no
+    # breaker; it is served in every state and must be counted once.
+    return Feeder(
+        name="two-islands",
+        s_base_kva=1000.0,
+        v_base_kv=4.16,
+        buses=(Bus("a"), Bus("b"), Bus("c"), Bus("d")),
+        lines=(
+            Line("l1", "a", "b", 0.001, 0.002, 500.0),
+            Line("l2", "c", "d", 0.001, 0.002, 500.0),
+        ),
+        breakers=(Breaker("cb1", "l1", 0), Breaker("cb2", "l2", 0)),
+        loads=(
+            LoadPoint("ld1", "b", 50.0, 15.0, 1.0, "cb1"),
+            LoadPoint("ld2", "d", 60.0, 18.0, 1.0, "cb2"),
+            LoadPoint("ld0", "a", 40.0, 12.0, 1.0, ""),
+        ),
+        generators=(
+            Generator("g1", "a", 0.0, 300.0, 0.0, 200.0),
+            Generator("g2", "c", 0.0, 300.0, 0.0, 200.0),
+        ),
+        partition=MicrogridPartition((("cb1",), ("cb2",))),
+    )
+
+
+def test_auto_counts_a_hard_wired_load_once():
+    feeder = _two_island_feeder()
+    result = brute_force(feeder)
+    assert result.method == "decomposed"
+    assert result.best_served_kw == pytest.approx(150.0, abs=1e-9)
+    assert_matches_naive(feeder, result)
+
+
+def _joined_islands(rng):
+    """2-3 random trees as one feeder: breakers interleaved across islands,
+    agent 0 owning a breaker in two of them, p_min > 0 and weights < 1."""
+    parts = []
+    for t in range(int(rng.integers(2, 4))):
+        tree = random_radial_feeder(rng, max_buses=5, max_breakers=3)
+
+        def rename(name, prefix=f"t{t}"):
+            return prefix + name
+
+        parts.append(dataclasses.replace(
+            tree,
+            buses=tuple(dataclasses.replace(b, id=rename(b.id)) for b in tree.buses),
+            lines=tuple(
+                dataclasses.replace(
+                    ln, id=rename(ln.id), from_bus=rename(ln.from_bus), to_bus=rename(ln.to_bus)
+                )
+                for ln in tree.lines
+            ),
+            breakers=tuple(
+                dataclasses.replace(b, id=rename(b.id), line_id=rename(b.line_id))
+                for b in tree.breakers
+            ),
+            loads=tuple(
+                dataclasses.replace(
+                    ld, id=rename(ld.id), bus_id=rename(ld.bus_id),
+                    weight=float(np.round(rng.uniform(0.2, 1.0), 2)),
+                )
+                for ld in tree.loads
+            ),
+            generators=tuple(
+                dataclasses.replace(
+                    g, id=rename(g.id), bus_id=rename(g.bus_id),
+                    p_min=float(np.round(max(0.0, rng.uniform(-0.2, 0.2)) * g.p_max, 1)),
+                )
+                for g in tree.generators
+            ),
+        ))
+    breakers = [b for part in parts for b in part.breakers]
+    order = rng.permutation(len(breakers))
+    shared = (parts[0].breakers[0].id, parts[1].breakers[0].id)
+    rest = tuple(
+        ids for part in parts
+        if (ids := tuple(b.id for b in part.breakers if b.id not in shared))
+    )
+    return Feeder(
+        name="joined",
+        s_base_kva=1000.0,
+        v_base_kv=4.16,
+        buses=tuple(b for part in parts for b in part.buses),
+        lines=tuple(ln for part in parts for ln in part.lines),
+        breakers=tuple(breakers[i] for i in order),
+        loads=tuple(ld for part in parts for ld in part.loads),
+        generators=tuple(g for part in parts for g in part.generators),
+        partition=MicrogridPartition((shared, *rest)),
+    )
+
+
+def test_decomposed_equals_naive_on_multi_island_feeders():
+    rng = np.random.default_rng(43)
+    solved = 0
+    for _ in range(15):
+        feeder = _joined_islands(rng)
+        assert len(islands(feeder)) >= 2
+        try:
+            result = brute_force(feeder)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                brute_force(feeder, method="naive")
+            continue
+        assert result.method == "decomposed"
+        assert_matches_naive(feeder, result)
+        solved += 1
+    assert solved >= 10
 
 
 def test_result_cache_round_trip(tmp_path, ieee13):

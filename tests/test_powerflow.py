@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gridrestore import (
     LoadPoint,
     MicrogridPartition,
     check_constraints,
+    islands,
     restored_power,
     solve,
 )
@@ -192,3 +195,16 @@ def test_state_vector_length_checked(ieee13):
         solve(ieee13, [1, 0])
     with pytest.raises(ValueError):
         restored_power(ieee13, [1] * 8)
+
+
+def test_solve_never_hashes_the_feeder(monkeypatch, ieee13):
+    # The network index lives on the feeder object, so no lookup hashes it.
+    def refuse(self):
+        raise AssertionError("feeder hashed")
+
+    monkeypatch.setattr(Feeder, "__hash__", refuse)
+    feeder = dataclasses.replace(ieee13)  # a fresh object with no index yet
+    report = check_constraints(feeder, solve(feeder, [0, 1, 1, 0, 0, 0, 1, 0, 1]))
+    assert report.all_ok
+    sub = islands(feeder)[0].feeder
+    assert check_constraints(sub, solve(sub, [0, 1, 1, 0])).all_ok

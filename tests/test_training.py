@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,6 +25,12 @@ from gridrestore.training import (
     agent_slots,
     compare,
 )
+
+
+# sha256 of the episodes.csv and trace.csv bytes of a seed-2, 60-episode
+# ieee13 run at package defaults followed by a default greedy execute.
+GOLDEN_EPISODES_SHA256 = "ea2acd3528e2748eeca625c93f242736f5d004beba34c24515858723011565ca"
+GOLDEN_TRACE_SHA256 = "ddf4eeaf1ed9a8e1e9eb91e301f73f3a65132b4185d3ac12c673fa86059dd40d"
 
 
 def quick_cfg(seed=0, **kw):
@@ -183,3 +190,19 @@ def test_trace_reward_column_is_normalized_power(ieee13):
     trace = execute(models, ieee13, max_steps=4)
     for entry in trace.entries:
         assert entry.reward == pytest.approx(entry.served_kw / 3461.0)
+
+
+def test_golden_fingerprint_of_training_and_execution(tmp_path, ieee13):
+    # Pins the learned behaviour bit for bit: a refactor of the solver, the
+    # memo or the learning loop must leave both files byte-identical.
+    models, logs = train(ieee13, TrainingConfig(episodes=60, hyper=Hyperparameters(seed=2)))
+    write_episodes_csv(tmp_path / "episodes.csv", logs)
+    write_trace_csv(tmp_path / "trace.csv", execute(models, ieee13))
+    digest = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("episodes.csv", "trace.csv")
+    }
+    assert digest == {
+        "episodes.csv": GOLDEN_EPISODES_SHA256,
+        "trace.csv": GOLDEN_TRACE_SHA256,
+    }
