@@ -3,7 +3,9 @@
 Enumerates every breaker configuration of the 13-node system three ways
 (naive, Gray-code, per-microgrid decomposition) and shows they agree, then
 uses the decomposition to make the 2^26 configurations of the 123-node
-system tractable.
+system tractable. Each line reports how many configurations were actually
+solved: all of them (naive), those the capacity pre-screen kept (gray), or
+each island's sub-states (decomposed).
 """
 
 import time
@@ -17,7 +19,8 @@ for method in ("naive", "gray", "decomposed"):
     result = brute_force(feeder, method=method)
     closed = [feeder.breakers[i].id for i, s in enumerate(result.best_states) if s]
     print(f"{method:>10}: best {result.best_served_kw:.0f} kW via {closed}, "
-          f"{result.feasible_count} feasible, {time.perf_counter() - start:.2f} s")
+          f"{result.feasible_count} feasible, {result.solved_count} solved, "
+          f"{time.perf_counter() - start:.2f} s")
 print(f"restored fraction of capacity: {2563 / 2600:.1%}")
 
 print("\n=== ieee123: 2^26 = 67,108,864 configurations")
@@ -26,7 +29,8 @@ start = time.perf_counter()
 result = brute_force(feeder)  # auto -> per-microgrid decomposition
 print(f"{result.method}: best {result.best_served_kw:.0f} kW "
       f"({result.best_served_kw / 2400:.2%} of the 2400 kW capacity), "
-      f"{result.feasible_count:,} feasible of {result.evaluated_count:,}, "
+      f"{result.feasible_count:,} feasible of {result.evaluated_count:,} "
+      f"({result.solved_count:,} island sub-states solved), "
       f"{time.perf_counter() - start:.2f} s")
 per_island = {}
 for agent, ids in enumerate(feeder.partition.assignments):

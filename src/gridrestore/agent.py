@@ -287,4 +287,6 @@ def load_checkpoint(path) -> tuple[int, list[str], QNetwork]:
     ]
     if expected != declared:
         raise ValueError(f"checkpoint {path} architecture mismatch")
+    if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
+        raise ValueError(f"checkpoint {path} holds non-finite weights or biases")
     return int(doc["agent"]), [str(b) for b in doc["breakers"]], net

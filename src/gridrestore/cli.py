@@ -211,14 +211,15 @@ def _cmd_oracle(args) -> int:
         if cached is not None:
             print(f"cached: best {cached.best_weighted_kw:.1f} kW weighted "
                   f"({cached.best_served_kw:.1f} kW served), "
-                  f"{cached.feasible_count} feasible of {cached.evaluated_count}")
+                  f"{cached.feasible_count} feasible of {cached.evaluated_count}, "
+                  f"{cached.solved_count} solved")
             return 0
     result = brute_force(feeder, method=args.method, workers=args.workers)
     save_result(cache_path, feeder, result)
     print(f"best {result.best_weighted_kw:.1f} kW weighted "
           f"({result.best_served_kw:.1f} kW served), "
-          f"{result.feasible_count} feasible of {result.evaluated_count} "
-          f"[{result.method}]")
+          f"{result.feasible_count} feasible of {result.evaluated_count}, "
+          f"{result.solved_count} solved [{result.method}]")
     return 0
 
 

@@ -11,16 +11,21 @@ Three interchangeable strategies:
     Plain binary-order enumeration, one full solve per configuration. The
     reference semantics.
 ``gray``
-    Gray-code order with precomputed load-energization path masks and a sound
-    capacity pre-screen (a configuration whose topological served power
+    Gray-code order with a sound capacity pre-screen on the solver's
+    energization masks (a configuration whose topological served power
     already exceeds total generation cannot satisfy the power balance, since
-    losses are non-negative). Identical results, far fewer solves.
+    losses are non-negative); the rest are solved in batches. Identical
+    results, fewer solves.
 ``decomposed``
     Per-island enumeration (see ``powerflow.islands``), exact on any feeder.
     No line joins two islands, so a state is feasible exactly when each
     island's sub-state is, weighted power is the sum over islands, and the
     optimum, feasible count and tie-breaks all decompose: 2^10 + 2^5 + 2^3 +
-    2^3 + 2^5 island solves instead of 2^26 on the 123-node study feeder.
+    2^3 + 2^5 island sub-states instead of 2^26 on the 123-node study feeder,
+    each island's solved in a few batched calls of ``powerflow.solve_batch``.
+
+``evaluated_count`` is always 2^B, the configurations the result covers;
+``solved_count`` is how many power flows were actually run.
 
 ``auto`` picks ``decomposed`` when the feeder has two or more islands, else
 ``gray``.
@@ -33,10 +38,13 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .feeder import Feeder, feeder_hash
-from .powerflow import _network_index, check_constraints, islands, solve
+from .powerflow import _restored, check_constraints, islands, solve, solve_batch
 
 MAX_BREAKERS = 26
+_BATCH_CELLS = 4096  # rows x buses per batched solve: about 1 MB of sweep arrays
 
 
 class TooManyBreakers(ValueError):
@@ -51,6 +59,7 @@ class OracleResult:
     feasible_count: int
     evaluated_count: int
     method: str
+    solved_count: int
 
 
 def _key(weighted: float, states: tuple[int, ...]):
@@ -75,50 +84,6 @@ def gray_states(n_bits: int):
         yield tuple(state)
 
 
-def _load_path_masks(feeder: Feeder) -> list[list[int]]:
-    """Per load: bitmasks of breakers on its path to each reachable generator."""
-    idx = _network_index(feeder)
-    line_breaker_mask = [0] * len(idx.line_ids)
-    for li, brks in enumerate(idx.line_breakers):
-        for bi in brks:
-            line_breaker_mask[li] |= 1 << bi
-    masks: list[list[int]] = [[] for _ in feeder.loads]
-    for g in feeder.generators:
-        # Parent pointers from this generator over the full-closure forest.
-        root = idx.bus_pos[g.bus_id]
-        parent_line = {root: -1}
-        parent_bus = {root: -1}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for li, v in idx.adjacency[u]:
-                if v not in parent_line:
-                    parent_line[v] = li
-                    parent_bus[v] = u
-                    queue.append(v)
-        for k, ld in enumerate(feeder.loads):
-            b = idx.bus_pos[ld.bus_id]
-            if b not in parent_line:
-                continue
-            mask = 0
-            while parent_line[b] != -1:
-                mask |= line_breaker_mask[parent_line[b]]
-                b = parent_bus[b]
-            masks[k].append(mask)
-    return masks
-
-
-def _served_by_mask(feeder: Feeder, path_masks, closed_mask: int):
-    served_p = served_w = 0.0
-    for ld, masks in zip(feeder.loads, path_masks):
-        for m in masks:
-            if closed_mask & m == m:
-                served_p += ld.p_rated
-                served_w += ld.p_rated * ld.weight
-                break
-    return served_p, served_w
-
-
 def _enumerate_range(feeder: Feeder, start: int, stop: int):
     """Naive-order evaluation of configurations start..stop-1 (by index)."""
     n = feeder.n_breakers
@@ -133,6 +98,35 @@ def _enumerate_range(feeder: Feeder, start: int, stop: int):
             if best is None or k < best[0]:
                 best = (k, states, weighted, served)
     return best, feasible
+
+
+def _enumerate_batches(feeder: Feeder, gray: bool = False):
+    """(best, feasible count, solved count) over all 2^B configurations,
+    solved in batches of at most ``_BATCH_CELLS`` rows x buses.
+
+    With ``gray``: Gray order and a capacity pre-screen, which skips any
+    configuration whose topological served power already exceeds total
+    generation (it must fail the power balance: losses are non-negative).
+    """
+    n, capacity = feeder.n_breakers, feeder.total_capacity_kw()
+    step = max(1, _BATCH_CELLS // len(feeder.buses))
+    best, feasible, solved = None, 0, 0
+    for lo in range(0, 2 ** n, step):
+        i = np.arange(lo, min(lo + step, 2 ** n))
+        rows = ((i ^ (i >> 1) if gray else i)[:, None] >> np.arange(n)) & 1
+        if gray:
+            rows = rows[~(_restored(feeder, rows)[0] > capacity + 1e-6)]
+        verdicts = solve_batch(feeder, rows)
+        ok, weighted = verdicts.feasible, verdicts.weighted_kw
+        feasible, solved = feasible + int(ok.sum()), solved + len(rows)
+        if ok.any():
+            top = weighted[ok].max()
+            for j in np.flatnonzero(ok & (weighted == top)):
+                states = tuple(rows[j].tolist())
+                k = _key(float(top), states)
+                if best is None or k < best[0]:
+                    best = (k, states, float(top), float(verdicts.served_kw[j]))
+    return best, feasible, solved
 
 
 def _brute_force_naive(feeder: Feeder, workers: int = 1) -> OracleResult:
@@ -152,56 +146,33 @@ def _brute_force_naive(feeder: Feeder, workers: int = 1) -> OracleResult:
                 best = b
     if best is None:
         raise RuntimeError("no feasible configuration (not even all-open)")
-    return OracleResult(best[1], best[2], best[3], feasible, total, "naive")
+    return OracleResult(best[1], best[2], best[3], feasible, total, "naive", total)
 
 
 def _brute_force_gray(feeder: Feeder) -> OracleResult:
-    n = feeder.n_breakers
-    capacity = feeder.total_capacity_kw()
-    path_masks = _load_path_masks(feeder)
-    best = None
-    feasible = 0
-    closed_mask = 0
-    for states in gray_states(n):
-        closed_mask = 0
-        for b, s in enumerate(states):
-            closed_mask |= s << b
-        served_p, weighted = _served_by_mask(feeder, path_masks, closed_mask)
-        if served_p > capacity + 1e-6:
-            continue  # (1b) must fail: losses are non-negative
-        ok, weighted, served = _evaluate(feeder, states)
-        if ok:
-            feasible += 1
-            k = _key(weighted, states)
-            if best is None or k < best[0]:
-                best = (k, states, weighted, served)
+    best, feasible, solved = _enumerate_batches(feeder, gray=True)
     if best is None:
         raise RuntimeError("no feasible configuration (not even all-open)")
-    return OracleResult(best[1], best[2], best[3], feasible, 2 ** n, "gray")
+    return OracleResult(best[1], best[2], best[3], feasible, 2 ** feeder.n_breakers, "gray", solved)
 
 
 def decomposed_optimum(feeder: Feeder) -> OracleResult:
     """Exact optimum via enumeration of each island's sub-feeder on its own."""
     best_states = [0] * feeder.n_breakers
     total_weighted = total_served = 0.0
-    feasible_product = 1
+    feasible_product, solved_total = 1, 0
     for k, (positions, sub) in enumerate(islands(feeder)):
-        best, feasible = _enumerate_range(sub, 0, 2 ** len(positions))
+        best, feasible, solved = _enumerate_batches(sub)
         if best is None:
             raise RuntimeError(f"island {k} has no feasible configuration")
         feasible_product *= feasible
+        solved_total += solved
         for pos, bit in zip(positions, best[1]):
             best_states[pos] = bit
         total_weighted += best[2]
         total_served += best[3]
-    return OracleResult(
-        tuple(best_states),
-        total_weighted,
-        total_served,
-        feasible_product,
-        2 ** feeder.n_breakers,
-        "decomposed",
-    )
+    return OracleResult(tuple(best_states), total_weighted, total_served, feasible_product,
+                        2 ** feeder.n_breakers, "decomposed", solved_total)
 
 
 def brute_force(feeder: Feeder, method: str = "auto", workers: int = 1) -> OracleResult:
@@ -234,6 +205,7 @@ def save_result(path, feeder: Feeder, result: OracleResult) -> None:
         "feasible_count": result.feasible_count,
         "evaluated_count": result.evaluated_count,
         "method": result.method,
+        "solved_count": result.solved_count,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -257,4 +229,5 @@ def load_result(path, feeder: Feeder | None = None) -> OracleResult | None:
         int(doc["feasible_count"]),
         int(doc["evaluated_count"]),
         str(doc.get("method", "cached")),
+        int(doc.get("solved_count", doc["evaluated_count"])),
     )

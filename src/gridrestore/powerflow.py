@@ -1,17 +1,26 @@
 """Steady-state power flow on the energized part of a switchable radial feeder.
 
-The solver is a backward/forward sweep with current summation. For a given
-breaker-state vector it determines the conducting sub-forest, finds the
-islands that contain generation, and iterates
+The solver is a backward/forward sweep with current summation, written in the
+path-matrix (BIBC/BCBV) form of Teng, "A direct approach for distribution
+system load flow solutions" (IEEE Trans. Power Delivery, 2003). For each
+generator r, the full-closure tree rooted at r gives a path matrix A_r
+(buses x lines) with A_r[b, l] = 1 when line l lies on the path from r to bus
+b. A batch of breaker-state rows is solved at once:
 
-    backward:  branch currents from summed bus currents I = conj(S / V)
-    forward:   bus voltages from the island root, V_child = V_parent - Z I
+    open lines:       open = (1 - bits) @ LB.T    (LB: line-by-breaker incidence)
+    energized buses:  reach_r = (open @ A_r.T == 0)
+    backward:         I = (conj(S / V) * reach_r) @ A_r
+    forward:          V = 1 - (z * I) @ A_r.T
 
-to a fixed point (max per-iteration voltage change < 1e-6 p.u., at most 100
-iterations). Generation is dispatched proportionally to p_max among an
-island's generators, each clipped to its box; the island root generator (the
-largest by p_max) acts as slack and absorbs the loss residual, so total
-generation equals served load plus losses exactly at the fixed point.
+iterated to a fixed point (max per-iteration voltage change < 1e-6 p.u., at
+most 100 iterations), each row stopping at its own iteration. Roots are the
+generators, largest p_max first (then lowest index), that no earlier root
+reaches, so every energized island is rooted at its largest generator, also
+where an open breaker splits a multi-generator island. Generation is
+dispatched proportionally to p_max among an island's generators, each clipped
+to its box; the root generator acts as slack and absorbs the loss residual,
+so total generation equals served load plus losses exactly at the fixed
+point.
 
 De-energized buses report 1.0 p.u. by convention, carry no load, and are
 excluded from flows and from the voltage constraint. Divergence never raises;
@@ -20,8 +29,10 @@ it is flagged on the solution and counts as failing every constraint.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -87,54 +98,145 @@ class Island(NamedTuple):
     feeder: Feeder             # the feeder restricted to this component
 
 
+class BatchVerdicts(NamedTuple):
+    """Per-row outcome of ``solve_batch``."""
+
+    feasible: np.ndarray     # bool: converged and every constraint holds
+    served_kw: np.ndarray
+    weighted_kw: np.ndarray
+    iterations: np.ndarray
+
+
+class _Root(NamedTuple):
+    """Path matrices of the full-closure tree rooted at one generator."""
+
+    gen: int
+    bus: int
+    path: np.ndarray       # (buses, lines) complex A_r
+    path_t: np.ndarray     # A_r.T, contiguous
+    in_tree: np.ndarray    # (buses,) bool
+    up: np.ndarray         # (lines,) end of each tree line nearer the root
+    at_root: np.ndarray    # (lines,) 1.0 on tree lines leaving the root bus
+
+
+class _Sweep(NamedTuple):
+    """Per-row arrays of a batched solve (rows x buses, lines or generators)."""
+
+    voltage: np.ndarray    # |V| p.u., 1.0 where de-energized
+    energized: np.ndarray  # bool per bus
+    served: np.ndarray     # bool per load
+    flow: np.ndarray       # complex sending-end kVA, 0 on lines not energized
+    line_on: np.ndarray    # bool per line
+    gen_p: np.ndarray      # kW
+    gen_q: np.ndarray      # kvar
+    losses_kw: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+
+
 class _NetworkIndex:
     """Static arrays derived from a feeder, shared by every solve call."""
 
     def __init__(self, feeder: Feeder):
-        self.feeder = feeder
-        self.bus_pos = {b.id: i for i, b in enumerate(feeder.buses)}
+        bus_pos = {b.id: i for i, b in enumerate(feeder.buses)}
+        line_pos = {ln.id: i for i, ln in enumerate(feeder.lines)}
+        self.s_base = feeder.s_base_kva
+        self.capacity_kw = feeder.total_capacity_kw()
         self.n_buses = len(feeder.buses)
-        self.line_ids = [ln.id for ln in feeder.lines]
-        self.line_from = np.array(
-            [self.bus_pos[ln.from_bus] for ln in feeder.lines], dtype=np.intp
-        )
-        self.line_to = np.array(
-            [self.bus_pos[ln.to_bus] for ln in feeder.lines], dtype=np.intp
-        )
-        self.line_z = np.array(
-            [complex(ln.resistance, ln.reactance) for ln in feeder.lines]
-        )
+        self.n_breakers = len(feeder.breakers)
+        self.bus_ids = [b.id for b in feeder.buses]
+        self.line_ids = list(line_pos)
+        self.gen_ids = [g.id for g in feeder.generators]
+        self.line_from = np.array([bus_pos[ln.from_bus] for ln in feeder.lines], dtype=np.intp)
+        self.line_to = np.array([bus_pos[ln.to_bus] for ln in feeder.lines], dtype=np.intp)
+        self.line_z = np.array([complex(ln.resistance, ln.reactance) for ln in feeder.lines])
         self.line_rating_kva = np.array([ln.s_rating for ln in feeder.lines])
-        self.line_breakers: list[list[int]] = [[] for _ in feeder.lines]
-        line_pos = {lid: i for i, lid in enumerate(self.line_ids)}
+        self.breaker_line = np.zeros((self.n_breakers, len(feeder.lines)))
         for bi, brk in enumerate(feeder.breakers):
-            self.line_breakers[line_pos[brk.line_id]].append(bi)
-        self.load_bus = np.array(
-            [self.bus_pos[ld.bus_id] for ld in feeder.loads], dtype=np.intp
-        )
+            self.breaker_line[bi, line_pos[brk.line_id]] = 1.0
+        self.load_bus = np.array([bus_pos[ld.bus_id] for ld in feeder.loads], dtype=np.intp)
         self.load_p_kw = np.array([ld.p_rated for ld in feeder.loads])
-        self.load_q_kvar = np.array([ld.q_rated for ld in feeder.loads])
-        self.load_weight = np.array([ld.weight for ld in feeder.loads])
-        self.gen_bus = np.array(
-            [self.bus_pos[g.bus_id] for g in feeder.generators], dtype=np.intp
-        )
+        self.load_weighted_kw = self.load_p_kw * np.array([ld.weight for ld in feeder.loads])
+        self.load_s = np.array([complex(ld.p_rated, ld.q_rated) / self.s_base for ld in feeder.loads])
+        self.load_at_bus = np.zeros((len(feeder.loads), self.n_buses), dtype=complex)
+        self.load_at_bus[np.arange(len(feeder.loads)), self.load_bus] = 1.0
+        self.gen_bus = np.array([bus_pos[g.bus_id] for g in feeder.generators], dtype=np.intp)
         self.gen_p_max = np.array([g.p_max for g in feeder.generators])
         self.gen_p_min = np.array([g.p_min for g in feeder.generators])
         self.gen_q_max = np.array([g.q_max for g in feeder.generators])
         self.gen_q_min = np.array([g.q_min for g in feeder.generators])
+        self.gen_at_bus = np.zeros((len(feeder.generators), self.n_buses), dtype=complex)
+        self.gen_at_bus[np.arange(len(feeder.generators)), self.gen_bus] = 1.0
         self.v_min = np.array([b.v_min for b in feeder.buses])
         self.v_max = np.array([b.v_max for b in feeder.buses])
         self.adjacency: list[list[tuple[int, int]]] = [[] for _ in range(self.n_buses)]
-        for li in range(len(feeder.lines)):
-            f, t = int(self.line_from[li]), int(self.line_to[li])
+        for li, (f, t) in enumerate(zip(self.line_from.tolist(), self.line_to.tolist())):
             self.adjacency[f].append((li, t))
             self.adjacency[t].append((li, f))
+        self.islands: tuple[Island, ...] | None = None
+
+    def tree(self, start: int) -> list[tuple[int, int, int]]:
+        """(bus, line into it, parent bus) over all lines from ``start``, breadth first."""
+        order, seen, queue = [], {start}, [start]
+        for u in queue:
+            for li, v in self.adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    order.append((v, li, u))
+                    queue.append(v)
+        return order
 
     @cached_property
-    def islands(self) -> tuple[Island, ...]:
-        feeder = self.feeder
-        comp = _components(self, np.ones(len(self.line_ids), dtype=bool)).tolist()
-        bus_comp = dict(zip(self.bus_pos, comp))
+    def roots(self) -> tuple[_Root, ...]:
+        """One path-matrix set per generator, in root order (built at the first solve)."""
+        out = []
+        for g in sorted(range(len(self.gen_bus)), key=lambda g: (-self.gen_p_max[g], g)):
+            bus = int(self.gen_bus[g])
+            path = np.zeros((self.n_buses, len(self.line_ids)))
+            in_tree = np.zeros(self.n_buses, dtype=bool)
+            up = np.zeros(len(self.line_ids), dtype=np.intp)
+            at_root = np.zeros(len(self.line_ids))
+            in_tree[bus] = True
+            for v, li, u in self.tree(bus):
+                path[v] = path[u]
+                path[v, li] = 1.0
+                in_tree[v] = True
+                up[li] = u
+                at_root[li] = u == bus
+            path = path.astype(complex)
+            out.append(_Root(g, bus, path, np.ascontiguousarray(path.T), in_tree, up, at_root))
+        return tuple(out)
+
+
+_INDEXES: dict[int, _NetworkIndex] = {}
+
+
+def _network_index(feeder: Feeder) -> _NetworkIndex:
+    # Keyed by object identity: hashing the frozen feeder would visit every
+    # element on each lookup. The entry goes when the feeder is collected.
+    idx = _INDEXES.get(id(feeder))
+    if idx is None:
+        idx = _INDEXES[id(feeder)] = _NetworkIndex(feeder)
+        weakref.finalize(feeder, _INDEXES.pop, id(feeder), None)
+    return idx
+
+
+def islands(feeder: Feeder) -> tuple[Island, ...]:
+    """Full-closure components that hold a breaker, a load or a generator.
+
+    No line joins two islands, so a breaker state is feasible exactly when
+    every island's sub-state is, and served power is the sum over islands.
+    Computed once per feeder object, in order of each island's first bus.
+    """
+    idx = _network_index(feeder)
+    if idx.islands is None:
+        comp = [-1] * idx.n_buses
+        for start in range(idx.n_buses):
+            if comp[start] < 0:
+                comp[start] = start
+                for v, _, _ in idx.tree(start):
+                    comp[v] = start
+        bus_comp = dict(zip(idx.bus_ids, comp))
         line_comp = {ln.id: bus_comp[ln.from_bus] for ln in feeder.lines}
         out = []
         for root in dict.fromkeys(comp):  # components in order of first bus
@@ -157,63 +259,44 @@ class _NetworkIndex:
                     ),
                 )
                 out.append(Island(positions, sub))
-        return tuple(out)
+        idx.islands = tuple(out)
+    return idx.islands
 
 
-def _network_index(feeder: Feeder) -> _NetworkIndex:
-    # Kept on the feeder object itself: a cache keyed by the frozen feeder
-    # would hash every one of its elements on each lookup.
-    idx = feeder.__dict__.get("_network_index")
-    if idx is None:
-        idx = feeder.__dict__["_network_index"] = _NetworkIndex(feeder)
-    return idx
+def _closed(idx: _NetworkIndex, states) -> np.ndarray:
+    closed = np.asarray(states) != 0
+    if closed.ndim != 2 or closed.shape[1] != idx.n_breakers:
+        raise ValueError("breaker-state vector length mismatch")
+    return closed
 
 
-def islands(feeder: Feeder) -> tuple[Island, ...]:
-    """Full-closure components that hold a breaker, a load or a generator.
-
-    No line joins two islands, so a breaker state is feasible exactly when
-    every island's sub-state is, and served power is the sum over islands.
-    Computed once per feeder object, in order of each island's first bus.
-    """
-    return _network_index(feeder).islands
-
-
-def _conducting(idx: _NetworkIndex, states) -> np.ndarray:
-    """Line conducts when every breaker sitting on it is closed."""
-    ok = np.ones(len(idx.line_ids), dtype=bool)
-    for li, brks in enumerate(idx.line_breakers):
-        for bi in brks:
-            if not states[bi]:
-                ok[li] = False
-                break
-    return ok
+def _reach(idx: _NetworkIndex, closed: np.ndarray):
+    """Open-breaker count per line, and (root, energized-by-it mask) per active root."""
+    open_count = (~closed) @ idx.breaker_line
+    energized = np.zeros((len(closed), idx.n_buses), dtype=bool)
+    reach = []
+    for root in idx.roots:
+        r = ((open_count @ root.path_t) == 0) & root.in_tree
+        r[energized[:, root.bus]] = False  # an earlier, larger root feeds this island
+        if r.any():
+            energized |= r
+            reach.append((root, r))
+    return open_count, energized, reach
 
 
-def _components(idx: _NetworkIndex, conducting: np.ndarray) -> np.ndarray:
-    parent = np.arange(idx.n_buses)
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for li in np.flatnonzero(conducting):
-        a, b = find(int(idx.line_from[li])), find(int(idx.line_to[li]))
-        if a != b:
-            parent[a] = b
-    return np.array([find(i) for i in range(idx.n_buses)])
+def _served_power(idx: _NetworkIndex, served: np.ndarray):
+    """(served kW, weighted kW) per row of a load mask, summed as one solve does."""
+    return (
+        np.array([idx.load_p_kw[m].sum() for m in served]),
+        np.array([idx.load_weighted_kw[m].sum() for m in served]),
+    )
 
 
-def _served_mask(idx: _NetworkIndex, comp: np.ndarray) -> np.ndarray:
-    energized_roots = set(comp[idx.gen_bus].tolist()) if len(idx.gen_bus) else set()
-    if not energized_roots:
-        return np.zeros(len(idx.load_bus), dtype=bool)
-    energized = np.isin(comp, sorted(energized_roots))
-    return energized[idx.load_bus] if len(idx.load_bus) else np.zeros(0, dtype=bool)
+def _restored(feeder: Feeder, states):
+    """(served kW, weighted kW) per row of a (rows, breakers) state array."""
+    idx = _network_index(feeder)
+    _, energized, _ = _reach(idx, _closed(idx, states))
+    return _served_power(idx, energized[:, idx.load_bus])
 
 
 def restored_power(feeder: Feeder, states) -> tuple[float, float]:
@@ -222,173 +305,159 @@ def restored_power(feeder: Feeder, states) -> tuple[float, float]:
     A load is served when its bus is connected to a generator through closed
     breakers; no power flow is run.
     """
+    served, weighted = _restored(feeder, [states])
+    return float(served[0]), float(weighted[0])
+
+
+def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
+    """Batched backward/forward sweep over (rows, breakers) closed masks."""
+    s_base, z = idx.s_base, idx.line_z
+    rows, n_gens = len(closed), len(idx.gen_bus)
+    open_count, energized, reach = _reach(idx, closed)
+    served = energized[:, idx.load_bus]
+    s_load = (served * idx.load_s) @ idx.load_at_bus  # p.u. per bus
+    slack = np.zeros((rows, n_gens), dtype=bool)
+    gen_fq = np.zeros((rows, n_gens))
+    live = []  # per root: [reach, member generators, island demand kW, island p_max]
+    for root, r in reach:
+        member = r[:, idx.gen_bus]
+        slack[:, root.gen] = r[:, root.bus]
+        demand = (s_load * r).sum(axis=1)
+        q_cap = member @ idx.gen_q_max
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_q = np.where(q_cap > 0, np.minimum(1.0, demand.imag * s_base / q_cap), 0.0)
+        gen_fq = np.where(member, f_q[:, None], gen_fq)
+        live.append([r, member, demand.real * s_base, member @ idx.gen_p_max])
+    dispatch = not slack.all()  # some generator follows a proportional share
+
+    voltage = np.ones((rows, idx.n_buses), dtype=complex)
+    current = np.zeros((rows, len(z)), dtype=complex)
+    gen_p, gen_q = np.zeros((rows, n_gens)), np.zeros((rows, n_gens))
+    s_inj = np.zeros_like(voltage)
+    losses = np.zeros((len(live), rows))  # p.u., fed back into dispatch
+    iterations = np.zeros(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    # Rows still iterating; each retires into the outputs at its own iteration.
+    ids, v, sl, fq, p, q, inj, loss = (
+        np.arange(rows), voltage, s_load, gen_fq, gen_p, gen_q, s_inj, losses.copy())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(1, MAX_ITERATIONS + 1):
+            if not ids.size:
+                break
+            if dispatch:  # proportional shares, refreshed with the loss estimate
+                fp = np.zeros_like(fq)
+                for k, (_, member, demand_kw, p_cap) in enumerate(live):
+                    f_p = np.minimum(1.0, (demand_kw + loss[k] * s_base) / p_cap)
+                    fp = np.where(member, np.where(p_cap > 0, f_p, 0.0)[:, None], fp)
+                box = np.minimum(np.maximum(idx.gen_p_max * fp, idx.gen_p_min), idx.gen_p_max)
+                p = np.where(slack, 0.0, box)
+                box = np.minimum(np.maximum(idx.gen_q_max * fq, idx.gen_q_min), idx.gen_q_max)
+                q = np.where(slack, 0.0, box)
+                inj = ((p + 1j * q) / s_base) @ idx.gen_at_bus
+            i_bus = np.conj((sl - inj) / v)
+            v_new, i_line = v, np.zeros((len(ids), len(z)), dtype=complex)
+            for k, ((root, _), (r, *_)) in enumerate(zip(reach, live)):
+                i_k = (i_bus * r) @ root.path  # backward: branch currents
+                v_new = np.where(r, 1.0 - (z * i_k) @ root.path_t, v_new)  # forward
+                loss[k] = (z.real * np.abs(i_k) ** 2).sum(axis=1)
+                i_line += i_k
+            finite = np.isfinite(v_new).all(axis=1)
+            done = finite & (np.abs(v_new - v).max(axis=1, initial=0.0) < VOLTAGE_TOLERANCE)
+            v = v_new
+            stop = done | ~finite | (it == MAX_ITERATIONS)
+            if stop.any():
+                out = ids[stop]
+                voltage[out], current[out], s_inj[out] = v[stop], i_line[stop], inj[stop]
+                gen_p[out], gen_q[out], losses[:, out] = p[stop], q[stop], loss[:, stop]
+                iterations[out], converged[out] = it, done[stop]
+                keep = ~stop
+                ids, v, sl, fq, p, q, inj = (x[keep] for x in (ids, v, sl, fq, p, q, inj))
+                slack, loss = slack[keep], loss[:, keep]
+                live = [[x[keep] for x in isl] for isl in live]
+
+        # Root (slack) injections and sending-end flows from the final sweep.
+        line_on = (open_count == 0) & energized[:, idx.line_from]
+        flow = np.zeros_like(current)
+        for root, r in reach:
+            owned = line_on & r[:, idx.line_from]
+            flow = np.where(owned, voltage[:, root.up] * np.conj(current) * s_base, flow)
+            s_root = np.conj(current) @ root.at_root + s_load[:, root.bus] - s_inj[:, root.bus]
+            rooted = r[:, root.bus]
+            gen_p[rooted, root.gen] = s_root.real[rooted] * s_base
+            gen_q[rooted, root.gen] = s_root.imag[rooted] * s_base
+    return _Sweep(np.where(energized, np.abs(voltage), 1.0), energized, served, flow, line_on,
+                  gen_p, gen_q, losses.sum(axis=0) * s_base, converged, iterations)
+
+
+def _worst(key: np.ndarray, floor: float, shown: np.ndarray, default: float):
+    """Per row, the first column whose key is largest and above ``floor``
+    (-1 if none), and ``shown`` at that column (``default`` if none)."""
+    if not key.shape[1]:
+        return np.full(len(key), -1), np.full(len(key), default)
+    rows, col = np.arange(len(key)), key.argmax(axis=1)
+    hit = key[rows, col] > floor
+    return np.where(hit, col, -1), np.where(hit, shown[rows, col], default)
+
+
+def _checks(idx: _NetworkIndex, sw: _Sweep, served_kw: np.ndarray):
+    """Every operating constraint of every row, evaluated once in array form.
+
+    Returns all_ok and the ``ConstraintReport`` fields per row, with each
+    worst offender as a position (-1 when none).
+    """
+    demand = served_kw + sw.losses_kw
+    balance_ok = demand <= idx.capacity_kw + _SLACK_KW
+    v = sw.voltage
+    dev = np.where(sw.energized, np.maximum(idx.v_min - v, v - idx.v_max), -np.inf)
+    voltage_ok = ~(dev > 1e-9).any(axis=1)
+    gen_off = ~sw.energized[:, idx.gen_bus]
+    gen_p_ok = (gen_off | ((idx.gen_p_min - _SLACK_KW <= sw.gen_p)
+                           & (sw.gen_p <= idx.gen_p_max + _SLACK_KW))).all(axis=1)
+    gen_q_ok = (gen_off | ((idx.gen_q_min - _SLACK_KW <= sw.gen_q)
+                           & (sw.gen_q <= idx.gen_q_max + _SLACK_KW))).all(axis=1)
+    s = np.abs(sw.flow)
+    line_ok = ~(sw.line_on & (s > idx.line_rating_kva + _SLACK_KW)).any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loading = np.where(sw.line_on, s / idx.line_rating_kva, -np.inf)
+    all_ok = sw.converged & balance_ok & voltage_ok & gen_p_ok & gen_q_ok & line_ok
+    return all_ok, (balance_ok, idx.capacity_kw - demand, voltage_ok, *_worst(dev, -1.0, v, 1.0),
+                    gen_p_ok, gen_q_ok, line_ok, *_worst(loading, 0.0, loading, 0.0))
+
+
+def solve_batch(feeder: Feeder, states) -> BatchVerdicts:
+    """Solve and check every row of a (rows, breakers) array of states at once.
+
+    The same sweep and constraint evaluation as ``solve`` followed by
+    ``check_constraints``, vectorized over rows.
+    """
     idx = _network_index(feeder)
-    if len(states) != len(feeder.breakers):
-        raise ValueError("breaker-state vector length mismatch")
-    comp = _components(idx, _conducting(idx, states))
-    served = _served_mask(idx, comp)
-    return (
-        float(idx.load_p_kw[served].sum()),
-        float((idx.load_p_kw * idx.load_weight)[served].sum()),
-    )
+    sw = _sweep(idx, _closed(idx, states))
+    served, weighted = _served_power(idx, sw.served)
+    return BatchVerdicts(_checks(idx, sw, served)[0], served, weighted, sw.iterations)
 
 
 def solve(feeder: Feeder, states) -> PowerFlowSolution:
     """Backward/forward sweep power flow for one breaker-state vector."""
     idx = _network_index(feeder)
-    if len(states) != len(feeder.breakers):
-        raise ValueError("breaker-state vector length mismatch")
-    s_base = feeder.s_base_kva
-    conducting = _conducting(idx, states)
-    comp = _components(idx, conducting)
-    served = _served_mask(idx, comp)
-    gen_roots = sorted(set(comp[idx.gen_bus].tolist())) if len(idx.gen_bus) else []
-    energized_bus = (
-        np.isin(comp, gen_roots) if gen_roots else np.zeros(idx.n_buses, dtype=bool)
-    )
-
-    # Net constant-power load per bus (p.u.).
-    s_load = np.zeros(idx.n_buses, dtype=complex)
-    for li in np.flatnonzero(served):
-        s_load[idx.load_bus[li]] += complex(
-            idx.load_p_kw[li], idx.load_q_kvar[li]
-        ) / s_base
-
-    served_kw = float(idx.load_p_kw[served].sum())
-    served_weighted = float((idx.load_p_kw * idx.load_weight)[served].sum())
-
-    voltages = np.ones(idx.n_buses, dtype=complex)
-    line_current = np.zeros(len(idx.line_ids), dtype=complex)
-    gen_p = np.zeros(len(idx.gen_bus))  # kW dispatch, root filled at the end
-    gen_q = np.zeros(len(idx.gen_bus))
-
-    # Per-island tree structure over conducting lines.
-    islands = []
-    for root_comp in gen_roots:
-        members = np.flatnonzero(comp == root_comp)
-        gens = [gi for gi in range(len(idx.gen_bus)) if comp[idx.gen_bus[gi]] == root_comp]
-        root_gen = max(gens, key=lambda gi: (idx.gen_p_max[gi], -gi))
-        root_bus = int(idx.gen_bus[root_gen])
-        order: list[tuple[int, int]] = []  # (bus, line into bus), BFS from root
-        seen = {root_bus}
-        queue = [root_bus]
-        while queue:
-            u = queue.pop(0)
-            for li, v in idx.adjacency[u]:
-                if conducting[li] and v not in seen:
-                    seen.add(v)
-                    order.append((v, li))
-                    queue.append(v)
-        islands.append((members, gens, root_gen, root_bus, order))
-
-    converged = not islands  # nothing energized = trivially converged
-    iterations = 0
-    island_losses = [0.0] * len(islands)  # p.u., fed back into dispatch
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for iterations in range(1, MAX_ITERATIONS + 1):
-            if not islands:
-                break
-            # Proportional dispatch, refreshed with the current loss estimate.
-            s_inj = np.zeros(idx.n_buses, dtype=complex)
-            for k, (members, gens, root_gen, root_bus, order) in enumerate(islands):
-                island_p_kw = float(np.real(s_load[members]).sum()) * s_base
-                island_q_kvar = float(np.imag(s_load[members]).sum()) * s_base
-                p_cap = float(idx.gen_p_max[gens].sum())
-                q_cap = float(idx.gen_q_max[gens].sum())
-                demand_kw = island_p_kw + island_losses[k] * s_base
-                f_p = min(1.0, demand_kw / p_cap) if p_cap > 0 else 0.0
-                f_q = min(1.0, island_q_kvar / q_cap) if q_cap > 0 else 0.0
-                for gi in gens:
-                    if gi == root_gen:
-                        continue
-                    p = float(np.clip(idx.gen_p_max[gi] * f_p, idx.gen_p_min[gi], idx.gen_p_max[gi]))
-                    q = float(np.clip(idx.gen_q_max[gi] * f_q, idx.gen_q_min[gi], idx.gen_q_max[gi]))
-                    gen_p[gi], gen_q[gi] = p, q
-                    s_inj[idx.gen_bus[gi]] += complex(p, q) / s_base
-
-            max_dv = 0.0
-            i_bus = np.conj((s_load - s_inj) / voltages)
-            for k, (members, gens, root_gen, root_bus, order) in enumerate(islands):
-                # Backward: accumulate branch currents leaf-to-root.
-                for bus, li in reversed(order):
-                    line_current[li] = i_bus[bus]
-                    up = int(idx.line_from[li])
-                    if up == bus:
-                        up = int(idx.line_to[li])
-                    i_bus[up] += i_bus[bus]
-                # Forward: update voltages root-to-leaf.
-                max_dv = max(max_dv, abs(voltages[root_bus] - 1.0))
-                voltages[root_bus] = 1.0
-                loss_k = 0.0
-                for bus, li in order:
-                    up = int(idx.line_from[li])
-                    if up == bus:
-                        up = int(idx.line_to[li])
-                    new_v = voltages[up] - idx.line_z[li] * line_current[li]
-                    max_dv = max(max_dv, abs(new_v - voltages[bus]))
-                    voltages[bus] = new_v
-                    loss_k += idx.line_z[li].real * abs(line_current[li]) ** 2
-                island_losses[k] = loss_k
-            if not np.all(np.isfinite(voltages)):
-                converged = False
-                break
-            if max_dv < VOLTAGE_TOLERANCE:
-                converged = True
-                break
-    losses_pu = sum(island_losses)
-
-    with np.errstate(invalid="ignore"):
-        # Root (slack) generator injections from the converged flows.
-        for members, gens, root_gen, root_bus, order in islands:
-            s_out = 0.0 + 0.0j
-            for bus, li in order:
-                up = int(idx.line_from[li])
-                if up == bus:
-                    up = int(idx.line_to[li])
-                if up == root_bus:
-                    s_out += voltages[root_bus] * np.conj(line_current[li])
-            s_slack = s_out + s_load[root_bus]
-            for gi in gens:
-                if gi != root_gen and int(idx.gen_bus[gi]) == root_bus:
-                    s_slack -= complex(gen_p[gi], gen_q[gi]) / s_base
-            gen_p[root_gen] = s_slack.real * s_base
-            gen_q[root_gen] = s_slack.imag * s_base
-
-        bus_voltage = {
-            b.id: (float(abs(voltages[i])) if energized_bus[i] else 1.0)
-            for i, b in enumerate(feeder.buses)
-        }
-        flows: dict[str, tuple[float, float, float]] = {}
-        for members, gens, root_gen, root_bus, order in islands:
-            for bus, li in order:
-                up = int(idx.line_from[li])
-                if up == bus:
-                    up = int(idx.line_to[li])
-                s_send = voltages[up] * np.conj(line_current[li]) * s_base
-                flows[idx.line_ids[li]] = (
-                    float(s_send.real),
-                    float(s_send.imag),
-                    float(abs(s_send)),
-                )
-    injections = {
-        g.id: (float(gen_p[gi]), float(gen_q[gi]))
-        for gi, g in enumerate(feeder.generators)
-    }
-    energized_ids = frozenset(
-        b.id for i, b in enumerate(feeder.buses) if energized_bus[i]
-    )
+    sw = _sweep(idx, _closed(idx, [states]))
+    served, weighted = _served_power(idx, sw.served)
+    flows = np.stack([sw.flow.real, sw.flow.imag, np.abs(sw.flow)], axis=-1)[0].tolist()
     return PowerFlowSolution(
-        bus_voltages=bus_voltage,
-        line_flows=flows,
-        gen_injections=injections,
-        energized_buses=energized_ids,
-        total_losses_kw=float(losses_pu * s_base) if gen_roots else 0.0,
-        served_load_kw=served_kw,
-        served_weighted_kw=served_weighted,
-        converged=bool(converged),
-        iterations=iterations,
+        bus_voltages=dict(zip(idx.bus_ids, sw.voltage[0].tolist())),
+        line_flows={lid: tuple(f) for lid, f in compress(zip(idx.line_ids, flows), sw.line_on[0])},
+        gen_injections=dict(zip(idx.gen_ids, zip(sw.gen_p[0].tolist(), sw.gen_q[0].tolist()))),
+        energized_buses=frozenset(compress(idx.bus_ids, sw.energized[0])),
+        total_losses_kw=float(sw.losses_kw[0]),
+        served_load_kw=float(served[0]),
+        served_weighted_kw=float(weighted[0]),
+        converged=bool(sw.converged[0]),
+        iterations=int(sw.iterations[0]),
     )
+
+
+_DIVERGED = ConstraintReport(
+    False, float("-inf"), False, "", float("nan"), False, False, False, "", float("inf"), False
+)
 
 
 def check_constraints(feeder: Feeder, solution: PowerFlowSolution) -> ConstraintReport:
@@ -399,71 +468,20 @@ def check_constraints(feeder: Feeder, solution: PowerFlowSolution) -> Constraint
     """
     idx = _network_index(feeder)
     if not solution.converged:
-        return ConstraintReport(
-            power_balance_ok=False,
-            power_balance_margin_kw=float("-inf"),
-            voltage_ok=False,
-            worst_voltage_bus="",
-            worst_voltage=float("nan"),
-            gen_p_ok=False,
-            gen_q_ok=False,
-            line_s_ok=False,
-            worst_line="",
-            worst_line_loading=float("inf"),
-            converged=False,
-        )
-
-    capacity = feeder.total_capacity_kw()
-    demand = solution.served_load_kw + solution.total_losses_kw
-    margin = capacity - demand
-    balance_ok = demand <= capacity + _SLACK_KW
-
-    voltage_ok = True
-    worst_bus, worst_v, worst_dev = "", 1.0, -1.0
-    for b in feeder.buses:
-        if b.id not in solution.energized_buses:
-            continue
-        v = solution.bus_voltages[b.id]
-        dev = max(b.v_min - v, v - b.v_max)
-        if dev > worst_dev:
-            worst_dev, worst_bus, worst_v = dev, b.id, v
-        if dev > 1e-9:
-            voltage_ok = False
-
-    gen_p_ok = True
-    gen_q_ok = True
-    energized = solution.energized_buses
-    for g in feeder.generators:
-        if g.bus_id not in energized:
-            continue
-        p, q = solution.gen_injections[g.id]
-        if not (g.p_min - _SLACK_KW <= p <= g.p_max + _SLACK_KW):
-            gen_p_ok = False
-        if not (g.q_min - _SLACK_KW <= q <= g.q_max + _SLACK_KW):
-            gen_q_ok = False
-
-    line_s_ok = True
-    worst_line, worst_loading = "", 0.0
-    for li, lid in enumerate(idx.line_ids):
-        if lid not in solution.line_flows:
-            continue
-        s = solution.line_flows[lid][2]
-        loading = s / idx.line_rating_kva[li]
-        if loading > worst_loading:
-            worst_loading, worst_line = loading, lid
-        if s > idx.line_rating_kva[li] + _SLACK_KW:
-            line_s_ok = False
-
+        return _DIVERGED
+    flows = [solution.line_flows.get(lid) for lid in idx.line_ids]
+    gens = np.array([solution.gen_injections[g] for g in idx.gen_ids]).reshape(1, -1, 2)
+    sw = _Sweep(
+        np.array([[solution.bus_voltages[b] for b in idx.bus_ids]]),
+        np.array([[b in solution.energized_buses for b in idx.bus_ids]], dtype=bool),
+        None,
+        np.array([[complex(f[0], f[1]) if f else 0j for f in flows]]),
+        np.array([[f is not None for f in flows]], dtype=bool),
+        gens[..., 0], gens[..., 1], np.array([solution.total_losses_kw]), np.array([True]), None,
+    )
+    _, fields = _checks(idx, sw, np.array([solution.served_load_kw]))
+    balance, margin, v_ok, bus, v_worst, p_ok, q_ok, s_ok, line, loading = (f[0].item() for f in fields)
     return ConstraintReport(
-        power_balance_ok=balance_ok,
-        power_balance_margin_kw=margin,
-        voltage_ok=voltage_ok,
-        worst_voltage_bus=worst_bus,
-        worst_voltage=worst_v,
-        gen_p_ok=gen_p_ok,
-        gen_q_ok=gen_q_ok,
-        line_s_ok=line_s_ok,
-        worst_line=worst_line,
-        worst_line_loading=worst_loading,
-        converged=True,
+        balance, margin, v_ok, idx.bus_ids[bus] if bus >= 0 else "", v_worst,
+        p_ok, q_ok, s_ok, idx.line_ids[line] if line >= 0 else "", loading, True,
     )

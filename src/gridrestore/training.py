@@ -427,7 +427,13 @@ def load_models(checkpoint_dir, feeder: Feeder):
     paths = sorted(Path(checkpoint_dir).glob("checkpoint_agent*.json"))
     if not paths:
         raise FileNotFoundError(f"no checkpoint_agent*.json under {checkpoint_dir}")
-    loaded = [load_checkpoint(p) for p in paths]
+    loaded, owner = [], {}
+    for path in paths:
+        agent, breaker_ids, net = load_checkpoint(path)
+        if agent in owner:
+            raise ValueError(f"checkpoints {owner[agent]} and {path} both hold agent {agent}")
+        owner[agent] = path
+        loaded.append((agent, breaker_ids, net))
     loaded.sort(key=lambda t: t[0])
     nets = [net for _, _, net in loaded]
     slots = [

@@ -9,6 +9,8 @@ written logic.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from gridrestore.feeder import (
@@ -103,6 +105,35 @@ def random_radial_feeder(
         generators=tuple(generators),
         partition=MicrogridPartition(assignments),
     )
+
+
+def random_multi_generator_feeder(
+    rng: np.random.Generator,
+    max_buses: int = 10,
+    max_breakers: int = 6,
+) -> Feeder:
+    """Random tree feeder with two or three generators in one island.
+
+    One extra generator sits behind a breaker as seen from ``g0``, so opening
+    that breaker splits the island into parts energized separately, each
+    rooted at its own largest generator. Its p_max sometimes ties ``g0``'s,
+    to exercise the tie-break by generator order. The all-open state need
+    not be feasible.
+    """
+    base = random_radial_feeder(rng, max_buses=max_buses, max_breakers=max_breakers)
+    breakered = {b.line_id for b in base.breakers}
+    behind = [ln.to_bus for ln in base.lines if ln.id in breakered]
+    others = [b.id for b in base.buses[1:] if b.id not in behind]
+    sites = [str(rng.choice(behind))]
+    if others and rng.random() < 0.5:
+        sites.append(str(rng.choice(others)))
+    g0 = base.generators[0]
+    extra = []
+    for k, bus in enumerate(sites, start=1):
+        p_max = g0.p_max if rng.random() < 0.3 else round(g0.p_max * float(rng.uniform(0.2, 1.5)), 1)
+        p_min = round(p_max * float(rng.uniform(0.0, 0.1)), 1)
+        extra.append(Generator(f"g{k}", bus, p_min, p_max, 0.0, round(0.7 * p_max, 1)))
+    return dataclasses.replace(base, generators=(g0, *extra))
 
 
 def dense_reference_solve(feeder: Feeder, states, tol: float = 1e-8, max_iter: int = 300):

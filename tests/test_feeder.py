@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from gridrestore import (
     MicrogridPartition,
     builtin_feeder,
     feeder_hash,
+    islands,
     load_feeder,
     serialize_feeder,
+    solve,
     validate_feeder,
 )
 from reference import random_radial_feeder
@@ -176,3 +180,16 @@ def test_feeder_hash_tracks_content(ieee13):
     h = feeder_hash(ieee13)
     assert h == feeder_hash(builtin_feeder("ieee13"))
     assert h != feeder_hash(builtin_feeder("ieee123"))
+
+
+def test_feeder_rebuilds_from_its_fields_after_a_solve(ieee13):
+    # The solver's network index is not kept in the feeder's __dict__.
+    feeder = dataclasses.replace(ieee13)
+    solve(feeder, [0, 1, 1, 0, 0, 0, 1, 0, 1])
+    islands(feeder)
+    assert Feeder(**feeder.__dict__) == feeder
+    # Nor does the index keep a solved feeder alive.
+    ref = weakref.ref(feeder)
+    del feeder
+    gc.collect()
+    assert ref() is None

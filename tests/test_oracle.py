@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from gridrestore import (
     decomposed_optimum,
     gray_states,
     islands,
+    restored_power,
     solve,
 )
+from gridrestore import oracle
 from gridrestore.oracle import load_result, save_result
-from reference import random_radial_feeder, recursive_best
+from reference import random_multi_generator_feeder, random_radial_feeder, recursive_best
 
 IEEE13_BEST = (0, 1, 1, 0, 0, 0, 1, 0, 1)  # cb2, cb3, cb7, cb9
 
@@ -247,12 +250,12 @@ def test_auto_counts_a_hard_wired_load_once():
     assert_matches_naive(feeder, result)
 
 
-def _joined_islands(rng):
+def _joined_islands(rng, tree_of=random_radial_feeder):
     """2-3 random trees as one feeder: breakers interleaved across islands,
     agent 0 owning a breaker in two of them, p_min > 0 and weights < 1."""
     parts = []
     for t in range(int(rng.integers(2, 4))):
-        tree = random_radial_feeder(rng, max_buses=5, max_breakers=3)
+        tree = tree_of(rng, max_buses=5, max_breakers=3)
 
         def rename(name, prefix=f"t{t}"):
             return prefix + name
@@ -323,6 +326,58 @@ def test_decomposed_equals_naive_on_multi_island_feeders():
     assert solved >= 10
 
 
+def test_decomposed_equals_naive_on_multi_generator_islands():
+    rng = np.random.default_rng(47)
+    solved = 0
+    for _ in range(12):
+        feeder = _joined_islands(rng, tree_of=random_multi_generator_feeder)
+        try:
+            result = brute_force(feeder)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                brute_force(feeder, method="naive")
+            continue
+        assert result.method == "decomposed"
+        assert_matches_naive(feeder, result)
+        solved += 1
+    assert solved >= 5
+
+
+def test_strategies_agree_on_multi_generator_feeders():
+    rng = np.random.default_rng(53)
+    agreed = 0
+    for _ in range(15):
+        feeder = random_multi_generator_feeder(rng)
+        try:
+            naive = brute_force(feeder, method="naive")
+        except RuntimeError:
+            for method in ("gray", "decomposed"):
+                with pytest.raises(RuntimeError):
+                    brute_force(feeder, method=method)
+            continue
+        gray = brute_force(feeder, method="gray")
+        decomposed = brute_force(feeder, method="decomposed")
+        assert strip_method(naive) == strip_method(gray) == strip_method(decomposed)
+        agreed += 1
+    assert agreed >= 8
+
+
+def test_solved_count_per_method(ieee13, ieee123):
+    states = [tuple((i >> b) & 1 for b in range(9)) for i in range(512)]
+    kept = sum(restored_power(ieee13, s)[0] <= ieee13.total_capacity_kw() + 1e-6 for s in states)
+    counts = {m: brute_force(ieee13, method=m).solved_count for m in ("naive", "gray", "decomposed")}
+    assert counts == {"naive": 512, "gray": kept, "decomposed": 16 + 32}
+    assert kept < 512
+    result = brute_force(ieee123)
+    assert (result.solved_count, result.evaluated_count) == (1104, 2**26)
+
+
+def test_batch_size_does_not_change_the_result(monkeypatch, ieee123):
+    default = brute_force(ieee123)
+    monkeypatch.setattr(oracle, "_BATCH_CELLS", 7 * 45)  # 7-row batches on microgrid 1
+    assert brute_force(ieee123) == default
+
+
 def test_result_cache_round_trip(tmp_path, ieee13):
     result = brute_force(ieee13)
     path = tmp_path / "oracle.json"
@@ -335,3 +390,10 @@ def test_result_cache_round_trip(tmp_path, ieee13):
 
     assert load_result(path, builtin_feeder("ieee123")) is None
     assert load_result(tmp_path / "missing.json", ieee13) is None
+    assert loaded.solved_count == result.solved_count == 48
+    # A cache written before solved_count existed still loads; the count
+    # falls back to evaluated_count, an upper bound.
+    doc = json.loads(path.read_text())
+    del doc["solved_count"]
+    path.write_text(json.dumps(doc))
+    assert load_result(path, ieee13).solved_count == 512

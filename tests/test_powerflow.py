@@ -16,7 +16,8 @@ from gridrestore import (
     restored_power,
     solve,
 )
-from reference import dense_reference_solve, random_radial_feeder
+from gridrestore.powerflow import solve_batch
+from reference import dense_reference_solve, random_multi_generator_feeder, random_radial_feeder
 
 
 def two_bus(resistance=0.01, reactance=0.0, p_kw=100.0, q_kvar=0.0, p_max=500.0):
@@ -208,3 +209,99 @@ def test_solve_never_hashes_the_feeder(monkeypatch, ieee13):
     assert report.all_ok
     sub = islands(feeder)[0].feeder
     assert check_constraints(sub, solve(sub, [0, 1, 1, 0])).all_ok
+
+
+def all_states(n):
+    return (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+
+
+def test_multi_generator_islands_match_dense_reference():
+    # Every state of feeders whose extra generator sits behind a breaker, so
+    # opening it splits one island into two separately rooted parts.
+    rng = np.random.default_rng(37)
+    checked = total = 0
+    for _ in range(25):
+        feeder = random_multi_generator_feeder(rng)
+        for states in all_states(feeder.n_breakers):
+            total += 1
+            sol = solve(feeder, states)
+            volts, loss_kw, ref_ok = dense_reference_solve(feeder, states)
+            if not (sol.converged and ref_ok):
+                continue
+            checked += 1
+            for bus_id, v in volts.items():
+                assert sol.bus_voltages[bus_id] == pytest.approx(v, abs=1e-5)
+            assert sol.total_losses_kw == pytest.approx(loss_kw, abs=1e-3)
+            gap = sol.total_generation_kw - sol.served_load_kw - sol.total_losses_kw
+            assert abs(gap) < 1e-3
+    assert checked >= 0.9 * total and total >= 200
+
+
+def _split_feeder(p_max_b):
+    # g_a at bus a feeds a 50 kW load; g_b sits behind cb and feeds 100 kW at c.
+    return Feeder(
+        name="split",
+        s_base_kva=1000.0,
+        v_base_kv=4.16,
+        buses=(Bus("a"), Bus("b"), Bus("c")),
+        lines=(Line("l1", "a", "b", 0.01, 0.02, 5000.0), Line("l2", "b", "c", 0.01, 0.02, 5000.0)),
+        breakers=(Breaker("cb", "l1", 0),),
+        loads=(LoadPoint("la", "a", 50.0, 15.0, 1.0, ""), LoadPoint("lc", "c", 100.0, 30.0, 1.0, "")),
+        generators=(Generator("g_a", "a", 0.0, 500.0, 0.0, 300.0),
+                    Generator("g_b", "b", 0.0, p_max_b, 0.0, 0.6 * p_max_b)),
+        partition=MicrogridPartition((("cb",),)),
+    )
+
+
+@pytest.mark.parametrize("p_max_b", [300.0, 500.0], ids=["smaller", "tied"])
+def test_open_breaker_splits_an_island_into_two_rooted_parts(p_max_b):
+    feeder = _split_feeder(p_max_b)
+    split = solve(feeder, [0])
+    assert split.energized_buses == {"a", "b", "c"}
+    assert split.served_load_kw == 150.0
+    # Each part's generator is its slack: g_a carries its lossless 50 kW,
+    # g_b carries 100 kW plus the losses on l2.
+    assert split.gen_injections["g_a"][0] == pytest.approx(50.0, abs=1e-9)
+    assert split.gen_injections["g_b"][0] == pytest.approx(100.0 + split.total_losses_kw, abs=1e-6)
+    joined = solve(feeder, [1])
+    # One island rooted at g_a (larger, or first on a tie); g_b takes its
+    # proportional share of load plus losses.
+    share = p_max_b * (150.0 + joined.total_losses_kw) / (500.0 + p_max_b)
+    assert joined.gen_injections["g_b"][0] == pytest.approx(share, abs=1e-4)
+    for states in ([0], [1]):
+        sol = solve(feeder, states)
+        volts, loss_kw, _ = dense_reference_solve(feeder, states)
+        assert sol.total_losses_kw == pytest.approx(loss_kw, abs=1e-6)
+        for bus_id, v in volts.items():
+            assert sol.bus_voltages[bus_id] == pytest.approx(v, abs=1e-7)
+
+
+def _batch_matches_single(feeder, rows):
+    batch = solve_batch(feeder, rows)
+    for k, states in enumerate(rows):
+        sol = solve(feeder, states)
+        assert batch.feasible[k] == check_constraints(feeder, sol).all_ok
+        assert batch.served_kw[k] == sol.served_load_kw
+        assert batch.weighted_kw[k] == sol.served_weighted_kw
+        assert batch.iterations[k] == sol.iterations
+
+
+def test_batched_solve_matches_single_solves(ieee13):
+    _batch_matches_single(ieee13, all_states(9))
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        feeder = random_multi_generator_feeder(rng)
+        _batch_matches_single(feeder, all_states(feeder.n_breakers))
+
+
+def test_batched_solve_does_not_depend_on_batch_size(ieee123):
+    # 1,024 states: neither one batch nor single rows divide into the
+    # oracle's batches of 91 rows evenly.
+    island = islands(ieee123)[0]
+    rows = all_states(len(island.breakers))
+    whole = solve_batch(island.feeder, rows)
+    for start, stop in ((0, 1), (1, 92), (92, 1000), (1000, 1024)):
+        part = solve_batch(island.feeder, rows[start:stop])
+        for a, b in zip(part, whole):
+            assert np.array_equal(a, b[start:stop])
+    assert len(solve_batch(island.feeder, rows[:0]).feasible) == 0

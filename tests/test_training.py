@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -163,6 +164,24 @@ def test_checkpoint_round_trip_through_execute(tmp_path, ieee13):
     direct = execute(models, ieee13, max_steps=4)
     loaded = execute(nets, ieee13, max_steps=4, slots=slots)
     assert direct.entries == loaded.entries
+
+
+@pytest.mark.parametrize("fault", ["duplicate-agent", "nan-weight", "inf-bias"])
+def test_load_models_rejects_a_bad_checkpoint_by_name(tmp_path, ieee13, fault):
+    cfg = quick_cfg(seed=6, episodes=2)
+    models, _ = train(ieee13, cfg)
+    save_models(tmp_path, ieee13, cfg, models)
+    path = tmp_path / "checkpoint_agent1.json"
+    doc = json.loads(path.read_text())
+    if fault == "duplicate-agent":
+        doc["agent"] = 0
+    elif fault == "nan-weight":
+        doc["weights"][0][0][0] = float("nan")
+    else:
+        doc["biases"][-1][0] = float("inf")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="checkpoint_agent1.json"):
+        load_models(tmp_path, ieee13)
 
 
 def test_compare_emits_one_row_per_variant(tmp_path, ieee13):
