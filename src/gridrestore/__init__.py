@@ -12,7 +12,7 @@ from .agent import (
     Experience,
     Hyperparameters,
     QNetwork,
-    ReplayBuffer,
+    StackedLearner,
     UnderfilledBuffer,
     act,
     load_checkpoint,
@@ -54,7 +54,6 @@ from .oracle import (
     TooManyBreakers,
     brute_force,
     decomposed_optimum,
-    gray_states,
 )
 from .powerflow import (
     ConstraintReport,

@@ -1,5 +1,6 @@
-"""Per-agent deep-Q machinery: MLP value network with manual backprop,
-target-network pair, replay buffer, and the exponential exploration schedule.
+"""Deep-Q machinery: MLP value network with manual backprop, target-network
+pair, the stacked learner of all agents, and the exponential exploration
+schedule.
 
 The network maps an agent's breaker-state observation to one value per toggle
 action (2 per breaker). Training regresses the taken action's output toward a
@@ -10,7 +11,10 @@ blended label
 
 with labels held constant for the gradient step (plain SGD on the mean squared
 error at the taken actions only). Keeping the optimizer to bare SGD makes the
-gradient exactly checkable against central finite differences.
+gradient exactly checkable against central finite differences. ``train_step``
+is the per-agent reference of one such step; training runs ``StackedLearner``,
+which steps every agent at once on zero-padded parameter stacks, fed from one
+replay ring that stores observation bits as int8.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ class Hyperparameters:
             raise ValueError("alpha must be in (0, 1]")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -173,34 +179,113 @@ class Experience:
     next_observation: tuple[int, ...]
 
 
-class ReplayBuffer:
-    """Fixed-capacity ring; eviction is oldest-first."""
+class StackedLearner:
+    """Every agent's networks and replay in zero-padded stacks.
 
-    def __init__(self, capacity: int):
+    Layer l of all networks is one ``(2 * agents, out, in)`` weight array and
+    one ``(2 * agents, out)`` bias array, zero-padded to the widest agent:
+    entry a is agent a's main network, entry agents + a its target. ``pairs``
+    are ``AgentPair`` views into the stacks. Replay is one preallocated ring
+    with a single write index, evicting oldest-first: slot k of ``bits[0]``
+    and ``bits[1]`` (int8, ``(agents, capacity, width)``) holds a step's
+    observations and next observations, ``actions`` and ``rewards`` its
+    actions and shared reward.
+
+    ``train_step`` is the per-agent ``train_step`` for all agents in one set
+    of batched array calls. Padded weights get exactly zero gradient, and
+    padded outputs are set to -inf before the next-state max. Padding adds
+    zero terms to the sums over the input width, which OpenBLAS 0.3.31 keeps
+    bit-exact on the study feeders' widths for batches of 2 or more rows; a
+    one-row batch goes to a matrix-vector kernel that may sum a padded row in
+    another order, so there it agrees to rounding.
+    """
+
+    def __init__(self, pairs: list[AgentPair], capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._data: list[Experience] = []
-        self._write = 0
+        sizes = np.array([p.main.layer_sizes for p in pairs])
+        agents, widest = len(pairs), sizes.max(axis=0)
+        self.weights = [np.zeros((2 * agents, o, i)) for i, o in zip(widest, widest[1:])]
+        self.biases = [np.zeros(w.shape[:2]) for w in self.weights]
+        self.pairs = [AgentPair(self._adopt(a, p.main), self._adopt(agents + a, p.target))
+                      for a, p in enumerate(pairs)]
+        self._padded = (np.arange(widest[-1]) >= sizes[:, -1:])[:, None, :]
+        # Slots past ``size`` are never read, so the ring starts uninitialized.
+        self.bits = np.empty((2, agents, capacity, widest[0]), dtype=np.int8)
+        self.actions = np.empty((agents, capacity), dtype=np.intp)
+        self.rewards = np.empty(capacity)
+        self._agents = np.arange(agents)[:, None]
+        self.size = self._write = 0  # steps stored, next slot to write
 
-    def __len__(self) -> int:
-        return len(self._data)
+    def _adopt(self, entry: int, net: QNetwork) -> QNetwork:
+        """Copy ``net`` into stack entry ``entry``; returns its view there."""
+        params = net.weights + net.biases
+        views = [stack[(entry, *map(slice, p.shape))]
+                 for stack, p in zip(self.weights + self.biases, params)]
+        for view, p in zip(views, params):
+            view[...] = p
+        return QNetwork(views[: len(net.weights)], views[len(net.weights):])
 
-    def push(self, experience: Experience) -> None:
-        if len(self._data) < self.capacity:
-            self._data.append(experience)
-        else:
-            self._data[self._write] = experience
-        self._write = (self._write + 1) % self.capacity
+    def push(self, observations, actions, reward: float, next_observations) -> None:
+        """Store one step: (agents, width) bits before and after, one action per agent."""
+        k = self._write
+        self.bits[0, :, k] = observations
+        self.bits[1, :, k] = next_observations
+        self.actions[:, k] = actions
+        self.rewards[k] = reward
+        self._write = (k + 1) % len(self.rewards)
+        self.size = max(self.size, k + 1)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Experience]:
-        """Uniform sample without replacement within one batch."""
-        if batch_size > len(self._data):
-            raise UnderfilledBuffer(
-                f"buffer holds {len(self._data)} < batch_size {batch_size}"
-            )
-        picks = rng.choice(len(self._data), size=batch_size, replace=False)
-        return [self._data[i] for i in picks]
+    def sample(self, batch_size: int, rng: np.random.Generator):
+        """One ``rng.choice`` draw without replacement per agent, in agent
+        order. Returns every agent's float observations followed by their next
+        observations, ``(2 * agents, batch, width)``, then the actions and the
+        rewards, ``(agents, batch)``."""
+        if batch_size > self.size:
+            raise UnderfilledBuffer(f"buffer holds {self.size} < batch_size {batch_size}")
+        picks = np.array([rng.choice(self.size, size=batch_size, replace=False)
+                          for _ in self._agents])
+        bits = self.bits[:, self._agents, picks].astype(float)
+        return (bits.reshape(-1, batch_size, bits.shape[-1]),
+                self.actions[self._agents, picks], self.rewards[picks])
+
+    def sync_target(self) -> None:
+        """Copy every main network into its target (bit-equal)."""
+        for stack in self.weights + self.biases:
+            stack[len(self._agents):] = stack[: len(self._agents)]
+
+    def train_step(self, observations, actions, rewards, hp: Hyperparameters) -> None:
+        """One SGD step of every agent on a batch shaped like ``sample``'s."""
+        agents, n = actions.shape
+        # In-place bias, ReLU and scaling keep the step's temporaries small;
+        # ReLU outputs stand in for pre-activations, as relu(z) > 0 iff z > 0.
+        post = [observations]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            post.append(post[-1] @ w.transpose(0, 2, 1))
+            post[-1] += b[:, None, :]
+            np.maximum(post[-1], 0.0, out=post[-1])
+        q = post[-1] @ self.weights[-1].transpose(0, 2, 1)
+        q += self.biases[-1][:, None, :]
+        q_all, q_next = q[:agents], q[agents:]
+        np.copyto(q_next, -np.inf, where=self._padded)
+        bootstrapped = rewards + hp.gamma * q_next.max(axis=2)
+        taken = (np.arange(agents * n).reshape(agents, n) * q.shape[2] + actions).ravel()
+        q_taken = q_all.take(taken).reshape(agents, n)
+        labels = (1.0 - hp.alpha) * q_taken + hp.alpha * bootstrapped
+        residual = q_taken - labels
+        delta = np.zeros_like(q_all)
+        delta.put(taken, 2.0 * residual / n)
+        for layer in range(len(self.weights) - 1, -1, -1):
+            inputs = post.pop()[:agents]  # freed as the step goes down the layers
+            grad_w = delta.transpose(0, 2, 1) @ inputs
+            grad_b = delta.sum(axis=1)
+            if layer:
+                delta = delta @ self.weights[layer][:agents]
+                delta *= inputs > 0.0
+            grad_w *= hp.eta
+            grad_b *= hp.eta
+            self.weights[layer][:agents] -= grad_w
+            self.biases[layer][:agents] -= grad_b
 
 
 def act(

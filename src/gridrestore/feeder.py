@@ -130,14 +130,8 @@ class Feeder:
     def total_load_kw(self) -> float:
         return sum(ld.p_rated for ld in self.loads)
 
-    def total_weighted_load_kw(self) -> float:
-        return sum(ld.p_rated * ld.weight for ld in self.loads)
-
     def total_capacity_kw(self) -> float:
         return sum(g.p_max for g in self.generators)
-
-    def nominal_states(self) -> tuple[int, ...]:
-        return tuple(b.state for b in self.breakers)
 
 
 # -- validation ----------------------------------------------------------------

@@ -73,17 +73,6 @@ def _evaluate(feeder: Feeder, states: tuple[int, ...]):
     return report.all_ok, solution.served_weighted_kw, solution.served_load_kw
 
 
-def gray_states(n_bits: int):
-    """All n-bit state tuples in reflected-Gray order (one flip per step)."""
-    state = [0] * n_bits
-    yield tuple(state)
-    for i in range(1, 2 ** n_bits):
-        # Flip the bit at the position of the lowest set bit of i.
-        flip = (i & -i).bit_length() - 1
-        state[flip] ^= 1
-        yield tuple(state)
-
-
 def _enumerate_range(feeder: Feeder, start: int, stop: int):
     """Naive-order evaluation of configurations start..stop-1 (by index)."""
     n = feeder.n_breakers

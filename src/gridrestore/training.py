@@ -4,8 +4,9 @@ execution, and side-by-side variant comparison.
 A training run is one sequential loop per the distributed deep-Q procedure:
 per episode, reset to all-open; per step, one epsilon draw switches the whole
 joint selection between masked random exploration and masked greedy
-exploitation; the environment applies the joint action; every agent stores its
-local experience tuple and takes one replay-batch gradient step; target
+exploitation; the environment applies the joint action; every agent's local
+experience goes into one int8 replay ring and every agent takes one
+replay-batch gradient step, all in one ``StackedLearner.train_step``; target
 networks are refreshed every ``sync_interval`` environment steps; epsilon
 decays per episode. Identical (feeder, config) pairs reproduce bit-for-bit.
 """
@@ -22,13 +23,11 @@ import numpy as np
 from .agent import (
     AgentPair,
     EpsilonSchedule,
-    Experience,
     Hyperparameters,
     QNetwork,
-    ReplayBuffer,
+    StackedLearner,
     load_checkpoint,
     save_checkpoint,
-    train_step,
 )
 from .environment import (
     AgentAction,
@@ -124,18 +123,6 @@ class RestorationTrace:
             seen[e.step] = e.violation
         return sum(seen.values())
 
-    def pickup_steps_to(self, target_kw: float, tol: float = 1e-6) -> int | None:
-        """Number of serving-increase steps until the target is first reached."""
-        pickups = 0
-        prev = 0.0
-        for served in self.served_series():
-            if served > prev + tol:
-                pickups += 1
-            prev = served
-            if served >= target_kw - tol:
-                return pickups
-        return None
-
     def pickup_steps_to_states(self, states, tol: float = 1e-6) -> int | None:
         """Serving-increase steps until a breaker configuration is first hit."""
         target = tuple(states)
@@ -162,17 +149,6 @@ def agent_slots(feeder: Feeder, agent_mode: str) -> list[tuple[int, ...]]:
     return groups
 
 
-def build_agents(feeder: Feeder, cfg: TrainingConfig) -> list[AgentPair]:
-    """Freshly initialized main/target pairs, one per agent slot."""
-    pairs = []
-    for i, group in enumerate(agent_slots(feeder, cfg.agent_mode)):
-        sizes = [len(group), *cfg.hidden_sizes, 2 * len(group)]
-        pairs.append(
-            AgentPair.initialized(sizes, np.random.default_rng([cfg.seed, i]))
-        )
-    return pairs
-
-
 def train(feeder: Feeder, cfg: TrainingConfig):
     """Run the full training loop; returns (models, per-episode logs)."""
     slots = agent_slots(feeder, cfg.agent_mode)
@@ -184,8 +160,11 @@ def train(feeder: Feeder, cfg: TrainingConfig):
         agent_breakers=slots,
     )
     rng = np.random.default_rng(cfg.seed)
-    models = build_agents(feeder, cfg)
-    buffers = [ReplayBuffer(cfg.hyper.capacity) for _ in slots]
+    learner = StackedLearner([
+        AgentPair.initialized([len(g), *cfg.hidden_sizes, 2 * len(g)],
+                              np.random.default_rng([cfg.seed, i]))
+        for i, g in enumerate(slots)
+    ], cfg.hyper.capacity)
     counts = env.action_space_sizes()
     logs: list[EpisodeLog] = []
     sync_clock = 0
@@ -193,6 +172,7 @@ def train(feeder: Feeder, cfg: TrainingConfig):
     for episode in range(cfg.episodes):
         eps = cfg.schedule.value(episode)
         obs = env.reset()
+        rows = np.zeros((len(slots), learner.bits.shape[-1]), dtype=np.int8)
         total_reward = 0.0
         violations = 0
         served_end = 0.0
@@ -207,7 +187,7 @@ def train(feeder: Feeder, cfg: TrainingConfig):
             else:
                 q_vectors = [
                     pair.main.forward(obs[i].as_array())
-                    for i, pair in enumerate(models)
+                    for i, pair in enumerate(learner.pairs)
                 ]
                 if cfg.masking:
                     noops = [env.noop_open_actions(i) for i in range(len(slots))]
@@ -220,37 +200,20 @@ def train(feeder: Feeder, cfg: TrainingConfig):
             total_reward += result.reward
             if not result.constraints_ok:
                 violations += 1
-            for i in range(len(slots)):
-                buffers[i].push(
-                    Experience(
-                        obs[i].bits,
-                        joint.actions[i].index,
-                        result.reward,
-                        result.observations[i].bits,
-                    )
-                )
-            obs = result.observations
+            next_rows = np.zeros_like(rows)
+            for i, o in enumerate(result.observations):
+                next_rows[i, : len(o.bits)] = o.bits
+            learner.push(rows, [a.index for a in joint.actions], result.reward, next_rows)
+            obs, rows = result.observations, next_rows
             served_end = result.served_kw
             sync_clock += 1
-            for i, pair in enumerate(models):
-                if len(buffers[i]) >= cfg.hyper.batch_size:
-                    train_step(
-                        pair, buffers[i].sample(cfg.hyper.batch_size, rng), cfg.hyper
-                    )
+            if learner.size >= cfg.hyper.batch_size:
+                learner.train_step(*learner.sample(cfg.hyper.batch_size, rng), cfg.hyper)
             if sync_clock % cfg.sync_interval == 0:
-                for pair in models:
-                    pair.sync_target()
-        logs.append(
-            EpisodeLog(
-                episode=episode,
-                reward=total_reward,
-                restored_kw=served_end,
-                violations=violations,
-                epsilon=eps,
-                steps=cfg.steps_per_episode,
-            )
-        )
-    return models, logs
+                learner.sync_target()
+        logs.append(EpisodeLog(episode=episode, reward=total_reward, restored_kw=served_end,
+                               violations=violations, epsilon=eps, steps=cfg.steps_per_episode))
+    return [AgentPair(p.main.copy(), p.target.copy()) for p in learner.pairs], logs
 
 
 def _slots_for_models(feeder: Feeder, nets: list[QNetwork]) -> list[tuple[int, ...]]:

@@ -10,7 +10,7 @@ from gridrestore import (
     Experience,
     Hyperparameters,
     QNetwork,
-    ReplayBuffer,
+    StackedLearner,
     UnderfilledBuffer,
     act,
     load_checkpoint,
@@ -123,26 +123,122 @@ def test_epsilon_schedule_validation():
         EpsilonSchedule(decay=0.0)
 
 
+def _ring(capacity, widths):
+    pairs = [AgentPair.initialized([n, 2], np.random.default_rng(0)) for n in widths]
+    return StackedLearner(pairs, capacity)
+
+
 def test_replay_buffer_ring_eviction():
-    buf = ReplayBuffer(2)
+    ring = _ring(2, widths=(1,))
     for k in range(3):
-        buf.push(Experience((k,), 0, float(k), (k,)))
-    assert len(buf) == 2
-    kept = {e.reward for e in buf.sample(2, np.random.default_rng(0))}
-    assert kept == {1.0, 2.0}
+        ring.push([[k]], [0], float(k), [[k]])
+    assert ring.size == 2
+    _, _, rewards = ring.sample(2, np.random.default_rng(0))
+    assert set(rewards[0]) == {1.0, 2.0}
 
 
 def test_replay_buffer_underfilled_and_determinism():
-    buf = ReplayBuffer(10)
+    ring = _ring(10, widths=(3, 1))
     with pytest.raises(UnderfilledBuffer):
-        buf.sample(1, np.random.default_rng(0))
+        ring.sample(1, np.random.default_rng(0))
     for k in range(6):
-        buf.push(Experience((k,), k, float(k), (k,)))
-    a = buf.sample(4, np.random.default_rng(5))
-    b = buf.sample(4, np.random.default_rng(5))
-    assert a == b
-    full = buf.sample(6, np.random.default_rng(1))
-    assert len({e.action for e in full}) == 6  # without replacement
+        bits = [[k & 1, k >> 1 & 1, k >> 2], [k & 1, 0, 0]]
+        ring.push(bits, [k, 5 - k], float(k), bits)
+    assert ring.bits.dtype == np.int8
+    a = ring.sample(4, np.random.default_rng(5))
+    b = ring.sample(4, np.random.default_rng(5))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    # One rng.choice per agent, in agent order: the draws of per-agent buffers.
+    rng = np.random.default_rng(5)
+    picks = [rng.choice(6, size=4, replace=False) for _ in range(2)]
+    bits, actions, rewards = a
+    assert np.array_equal(rewards, np.array(picks, dtype=float))
+    assert np.array_equal(actions, [picks[0], 5 - picks[1]])
+    assert bits.dtype == float and bits.shape == (4, 4, 3)
+    assert np.array_equal(bits[0, :, 2], picks[0] >> 2)
+    assert np.array_equal(bits[:2], bits[2:])  # next observations follow
+    _, full, _ = ring.sample(6, np.random.default_rng(1))
+    assert all(len(set(row)) == 6 for row in full)  # without replacement
+
+
+def _stacked_batch(batches, width):
+    """A ``StackedLearner.sample``-shaped batch of per-agent experience lists."""
+    bits = np.zeros((2, len(batches), len(batches[0]), width))
+    for a, batch in enumerate(batches):
+        for row, e in enumerate(batch):
+            bits[0, a, row, : len(e.observation)] = e.observation
+            bits[1, a, row, : len(e.observation)] = e.next_observation
+    return (bits.reshape(-1, len(batches[0]), width),
+            np.array([[e.action for e in b] for b in batches]),
+            np.array([[e.reward for e in b] for b in batches]))
+
+
+@pytest.mark.parametrize("hidden", [(), (7,), (16, 8, 16), (64, 64)])
+def test_stacked_step_equals_per_agent_reference(hidden):
+    widths = (10, 5, 3, 3, 5)
+    rng = np.random.default_rng(len(hidden))
+    hp = Hyperparameters(gamma=0.9, alpha=0.7, eta=0.05, seed=0)
+    reference = []
+    for a, n in enumerate(widths):
+        sizes = [n, *hidden, 2 * n]
+        reference.append(AgentPair(main=random_network(sizes, 10 + a),
+                                   target=random_network(sizes, 20 + a)))
+    # Agent 2's next-state values are all negative: an unmasked padded 0
+    # would win its max.
+    reference[2].target.weights[-1][...] = 0.0
+    reference[2].target.biases[-1][...] = rng.uniform(-2.0, -1.0, 6)
+    learner = StackedLearner(reference, capacity=1)  # copies every network in
+    real = [np.zeros(w.shape, dtype=bool) for w in learner.weights]
+    for a, pair in enumerate(reference + reference):
+        for mask, w in zip(real, pair.main.weights):
+            mask[a, : w.shape[0], : w.shape[1]] = True
+
+    for step, batch_size in enumerate((32, 2, 7)):
+        batches = [
+            [Experience(tuple(rng.integers(0, 2, n)), int(rng.integers(2 * n)),
+                        float(rng.uniform(-1, 1)), tuple(rng.integers(0, 2, n)))
+             for _ in range(batch_size)]
+            for n in widths
+        ]
+        for p, b in zip(reference, batches):
+            train_step(p, b, hp)
+        learner.train_step(*_stacked_batch(batches, 10), hp)
+        if step == 1:
+            learner.sync_target()
+            for p in reference:
+                p.sync_target()
+        for got, want in zip(learner.pairs, reference):
+            for net_got, net_want in ((got.main, want.main), (got.target, want.target)):
+                for x, y in zip(net_got.weights + net_got.biases,
+                                net_want.weights + net_want.biases):
+                    assert x.tobytes() == y.tobytes()
+        for w, b, mask in zip(learner.weights, learner.biases, real):
+            assert not w[~mask].any() and not np.signbit(w[~mask]).any()
+            padded_b = ~mask.any(axis=2)
+            assert not b[padded_b].any() and not np.signbit(b[padded_b]).any()
+
+
+def test_stacked_step_on_one_row_batches_agrees_to_rounding():
+    # A one-row product goes to BLAS's matrix-vector kernel, which may sum
+    # the zero-padded input in another order than the unpadded reference.
+    widths = (10, 3)
+    hp = Hyperparameters(seed=0)
+    reference = [AgentPair.initialized([n, 8, 2 * n], np.random.default_rng(n))
+                 for n in widths]
+    learner = StackedLearner(reference, capacity=1)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        batches = [[Experience(tuple(rng.integers(0, 2, n)), int(rng.integers(2 * n)),
+                               float(rng.uniform(-1, 1)), tuple(rng.integers(0, 2, n)))]
+                   for n in widths]
+        for p, b in zip(reference, batches):
+            train_step(p, b, hp)
+        learner.train_step(*_stacked_batch(batches, 10), hp)
+    for got, want in zip(learner.pairs, reference):
+        for x, y in zip(got.main.weights + got.main.biases, want.main.weights + want.main.biases):
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+    assert not learner.weights[0][1, :, 3:].any() and not learner.biases[-1][1, 6:].any()
+    assert not learner.weights[0][3, :, 3:].any() and not learner.biases[-1][3, 6:].any()
 
 
 def test_sync_target_bit_equality_and_idempotence():
@@ -297,3 +393,5 @@ def test_hyperparameter_validation():
         Hyperparameters(alpha=0.0)
     with pytest.raises(ValueError):
         Hyperparameters(eta=-1.0)
+    with pytest.raises(ValueError):
+        Hyperparameters(batch_size=0)

@@ -17,7 +17,6 @@ from gridrestore import (
     brute_force,
     check_constraints,
     decomposed_optimum,
-    gray_states,
     islands,
     restored_power,
     solve,
@@ -37,17 +36,6 @@ def strip_method(result: OracleResult) -> tuple:
         result.feasible_count,
         result.evaluated_count,
     )
-
-
-def test_gray_states_cover_all_once_one_flip_apart():
-    seen = set()
-    previous = None
-    for states in gray_states(6):
-        seen.add(states)
-        if previous is not None:
-            assert sum(a != b for a, b in zip(previous, states)) == 1
-        previous = states
-    assert len(seen) == 64
 
 
 def test_ieee13_optimum_matches_case_study(ieee13):

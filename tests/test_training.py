@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +29,22 @@ from gridrestore.training import (
 )
 
 
-# sha256 of the episodes.csv and trace.csv bytes of a seed-2, 60-episode
-# ieee13 run at package defaults followed by a default greedy execute.
-GOLDEN_EPISODES_SHA256 = "ea2acd3528e2748eeca625c93f242736f5d004beba34c24515858723011565ca"
-GOLDEN_TRACE_SHA256 = "ddf4eeaf1ed9a8e1e9eb91e301f73f3a65132b4185d3ac12c673fa86059dd40d"
+# sha256 of episodes.csv, trace.csv and the save_models checkpoint files
+# (hashed in agent order) per seeded run, each followed by a greedy execute.
+GOLDEN_DIGESTS = {
+    "ieee13": ("ea2acd3528e2748eeca625c93f242736f5d004beba34c24515858723011565ca",
+               "ddf4eeaf1ed9a8e1e9eb91e301f73f3a65132b4185d3ac12c673fa86059dd40d",
+               "8fc78fdcd94d249c35cc92afdb8238d3fcf609ec1664ca3471eee69a0e772bf5"),
+    "ieee13-single": ("528812e7775e3694281e830b1e24e9888875ee4a9179f6eae6c39eb5dee56412",
+                      "6478c0fddc51a748911a42d29cff72f4a02e35c2bd4683aced57dc677ccef622",
+                      "69eb00a862e61e0508cb0fa41dd668fd35163f9d5f6115fb68e14c8b07f631ef"),
+    "ieee123-masked": ("459d909fe13e1a7bd8fba46327f5517e2e1fb2abd2bf26ec82d4931bb1d9eb85",
+                       "84da2aeee603e32a9c2cb6c26926cc032010a5b12bbafdfa44d4ca0f9bd857e7",
+                       "8e12ccbf9131dcbb365cf6c406f10dbd11970350fd768ab3f43e744f917a5f4a"),
+    "ieee123-penalty": ("1f3979b08bcccdda0d78ab8dc23138887356621b9e217fa36884450496bc141d",
+                        "8dda4add83e3dc8af50b2d9d5e8e6717d03711d8767a36d03bcde4cd642d0078",
+                        "e3f5db5376456c91ee4c6dad6a9e96630ede55a0bf8d4abb313c7fe2f83352a3"),
+}
 
 
 def quick_cfg(seed=0, **kw):
@@ -52,6 +65,16 @@ def test_zero_episodes_returns_fresh_models(ieee13):
     assert len(models) == 2
     assert models[0].main.n_inputs == 4
     assert models[1].main.n_outputs == 10
+
+
+def test_train_returns_plain_unpadded_networks(ieee123):
+    # Training steps zero-padded stacks; the models it returns are not views.
+    models, _ = train(ieee123, quick_cfg(seed=6, episodes=3, hidden_sizes=(8,)))
+    for pair, n in zip(models, (10, 5, 3, 3, 5)):
+        for net in (pair.main, pair.target):
+            assert net.layer_sizes == [n, 8, 2 * n]
+            for a in net.weights + net.biases:
+                assert a.flags.c_contiguous and a.base is None
 
 
 def test_training_is_bit_reproducible(ieee13):
@@ -211,17 +234,36 @@ def test_trace_reward_column_is_normalized_power(ieee13):
         assert entry.reward == pytest.approx(entry.served_kw / 3461.0)
 
 
-def test_golden_fingerprint_of_training_and_execution(tmp_path, ieee13):
-    # Pins the learned behaviour bit for bit: a refactor of the solver, the
-    # memo or the learning loop must leave both files byte-identical.
-    models, logs = train(ieee13, TrainingConfig(episodes=60, hyper=Hyperparameters(seed=2)))
-    write_episodes_csv(tmp_path / "episodes.csv", logs)
-    write_trace_csv(tmp_path / "trace.csv", execute(models, ieee13))
-    digest = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("episodes.csv", "trace.csv")
+def test_golden_fingerprint_of_training_and_execution(tmp_path, ieee13, ieee123):
+    # Pins the learned behaviour bit for bit on both feeders, with two, five
+    # and one agent: a refactor of the solver, the memo or the learning loop
+    # must leave the logs, the rollout and the checkpoints byte-identical.
+    five_agent = dict(hyper=Hyperparameters(seed=3, gamma=0.95),
+                      schedule=EpsilonSchedule(decay=0.004))
+    runs = {  # name: (feeder, config, execute steps)
+        "ieee13": (ieee13, TrainingConfig(episodes=60, hyper=Hyperparameters(seed=2)), 16),
+        "ieee13-single": (ieee13, TrainingConfig(
+            episodes=60, agent_mode="single", hyper=Hyperparameters(seed=2)), 16),
+        # five agents of widths 10, 5, 3, 3 and 5
+        "ieee123-masked": (ieee123, TrainingConfig(episodes=20, **five_agent), 30),
+        "ieee123-penalty": (ieee123, TrainingConfig(episodes=20, masking=False,
+                                                    **five_agent), 30),
     }
-    assert digest == {
-        "episodes.csv": GOLDEN_EPISODES_SHA256,
-        "trace.csv": GOLDEN_TRACE_SHA256,
-    }
+    digests = {}
+    for name, (feeder, cfg, steps) in runs.items():
+        out = tmp_path / name
+        models, logs = train(feeder, cfg)
+        if cfg.masking:
+            assert sum(log.violations for log in logs) == 0
+        out.mkdir()
+        write_episodes_csv(out / "episodes.csv", logs)
+        write_trace_csv(out / "trace.csv", execute(models, feeder, max_steps=steps))
+        checkpoints = hashlib.sha256()
+        for path in save_models(out, feeder, cfg, models):
+            checkpoints.update(Path(path).read_bytes())
+        digests[name] = (
+            hashlib.sha256((out / "episodes.csv").read_bytes()).hexdigest(),
+            hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest(),
+            checkpoints.hexdigest(),
+        )
+    assert digests == GOLDEN_DIGESTS
