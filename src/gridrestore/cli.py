@@ -214,7 +214,7 @@ def _cmd_oracle(args) -> int:
                   f"{cached.feasible_count} feasible of {cached.evaluated_count}, "
                   f"{cached.solved_count} solved")
             return 0
-    result = brute_force(feeder, method=args.method, workers=args.workers)
+    result = brute_force(feeder, method=args.method)
     save_result(cache_path, feeder, result)
     print(f"best {result.best_weighted_kw:.1f} kW weighted "
           f"({result.best_served_kw:.1f} kW served), "
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feeder", required=True)
     p.add_argument("--method", default="auto",
                    choices=["auto", "naive", "gray", "decomposed"])
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--force", action="store_true", help="ignore a cached result")
     p.add_argument("--out", default="runs/oracle", help="output directory")
     p.set_defaults(func=_cmd_oracle)

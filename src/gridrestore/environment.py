@@ -5,7 +5,13 @@ A step applies every agent's toggle simultaneously, looks up the power-flow
 verdict of the new state, and returns the per-agent observations and the
 shared normalized reward (weighted restored power over total rated load).
 Verdicts are solved and memoized per island (see ``powerflow.islands``): a
-state is feasible when every island's sub-state is.
+state is feasible when every island's sub-state is. The memo is paged: an
+island's bits, read as an integer (bit j is its j-th breaker), select a page
+of 2^p consecutive sub-states that agree above bit p, and a miss fills the
+whole page with one ``powerflow.solve_batch`` call. 2^p is the largest power
+of two within ``powerflow.batch_rows`` of the island, the oracle's batch
+budget, and p is at most the island's breaker count, so a small island is
+one page.
 
 Two reward modes:
 
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feeder import Feeder
-from .powerflow import check_constraints, islands, solve
+from .powerflow import batch_rows, islands, solve_batch
 
 
 class EpisodeExhausted(RuntimeError):
@@ -104,19 +110,24 @@ class RestorationEnv:
         covered = [i for grp in self.agent_breakers for i in grp]
         if sorted(covered) != list(range(feeder.n_breakers)):
             raise ValueError("agent breaker groups must partition all breakers")
-        self._states = np.zeros(feeder.n_breakers, dtype=np.int8)
+        self._states = np.zeros(feeder.n_breakers, dtype=np.int64)  # as _place: no cast per lookup
         self.step_count = 0
         self.violation_count = 0
         self._denominator = feeder.total_load_kw()
-        self._islands = [
-            (np.array(isl.breakers, dtype=np.intp), isl.feeder) for isl in islands(feeder)
-        ]
-        # Feasibility memo keyed by (island, island bits); verdicts are pure
+        self._islands = islands(feeder)
+        # Row k of _place holds island k's place values (bit j is its j-th
+        # breaker), so _place @ states reads every island's bits as an integer.
+        self._place = np.zeros((len(self._islands), feeder.n_breakers), dtype=np.int64)
+        self._page_bits = []  # a page: 2^p sub-states that agree above bit p
+        for k, (positions, sub) in enumerate(self._islands):
+            self._place[k, list(positions)] = 1 << np.arange(len(positions))
+            self._page_bits.append(min(len(positions), batch_rows(sub).bit_length() - 1))
+        # Feasibility memo keyed by (island, page); verdicts are pure
         # functions of the sub-state, so memoization cannot change behavior.
-        self._feas_cache: dict[tuple[int, bytes], tuple[bool, float, float]] = {}
+        self._feas_cache: dict[tuple[int, int], list[tuple[bool, float, float]]] = {}
         if reward_mode == "masked":
-            for sub, (ok, _, _) in self._island_verdicts(self._states):
-                if not ok:
+            for k, (_, sub) in enumerate(self._islands):
+                if not self._page(k, 0)[0][0]:  # row 0 of page 0: the island all open
                     raise ValueError(
                         f"the island of generators {', '.join(g.id for g in sub.generators)} "
                         "violates a constraint with all breakers open; masked mode needs "
@@ -172,33 +183,27 @@ class RestorationEnv:
             nxt[group[ordinal]] = 1 if close else 0
         return nxt
 
-    def _island_verdicts(self, states: np.ndarray):
-        """(island sub-feeder, (feasible, served kW, weighted kW)) per island."""
-        for k, (positions, sub) in enumerate(self._islands):
-            bits = states[positions]
-            key = (k, bits.tobytes())
-            hit = self._feas_cache.get(key)
-            if hit is None:
-                solution = solve(sub, bits)
-                report = check_constraints(sub, solution)
-                hit = (report.all_ok, solution.served_load_kw, solution.served_weighted_kw)
-                self._feas_cache[key] = hit
-            yield sub, hit
+    def _page(self, k: int, page: int) -> list[tuple[bool, float, float]]:
+        """Island k's memo page, solved in one batch on a miss: (feasible,
+        served kW, weighted kW) of each of its 2^p sub-states, in binary order."""
+        (positions, sub), p = self._islands[k], self._page_bits[k]
+        codes = (page << p) + np.arange(1 << p)
+        v = solve_batch(sub, (codes[:, None] >> np.arange(len(positions))) & 1)
+        rows = list(zip(v.feasible.tolist(), v.served_kw.tolist(), v.weighted_kw.tolist()))
+        self._feas_cache[k, page] = rows
+        return rows
 
     def _feasibility(self, states: np.ndarray) -> tuple[bool, float, float]:
         """The AND of the island verdicts and the sums of their served power."""
         ok, served, weighted = True, 0.0, 0.0
-        for _, verdict in self._island_verdicts(states):
-            ok, served, weighted = ok and verdict[0], served + verdict[1], weighted + verdict[2]
+        for k, (code, p) in enumerate(zip(self._place.dot(states).tolist(), self._page_bits)):
+            page = self._feas_cache.get((k, code >> p)) or self._page(k, code >> p)
+            f, s, w = page[code & ((1 << p) - 1)]
+            ok, served, weighted = ok and f, served + s, weighted + w
         return ok, served, weighted
 
     def _reward_of(self, weighted_kw: float) -> float:
         return weighted_kw / self._denominator if self._denominator > 0 else 0.0
-
-    def state_reward(self) -> float:
-        """Normalized restored power of the current state."""
-        _, _, weighted = self._feasibility(self._states)
-        return self._reward_of(weighted)
 
     def validate_joint(self, joint: JointAction) -> bool:
         """Would this joint action keep every constraint satisfied?
@@ -207,12 +212,6 @@ class RestorationEnv:
         """
         ok, _, _ = self._feasibility(self._candidate_states(joint))
         return ok
-
-    def reward_penalty(self, joint: JointAction, penalty: float | None = None) -> float:
-        """Penalty-shaped reward of a candidate action (no state change)."""
-        m = self.penalty if penalty is None else penalty
-        ok, _, weighted = self._feasibility(self._candidate_states(joint))
-        return self._reward_of(weighted) if ok else m
 
     def step(self, joint: JointAction) -> StepResult:
         if self.step_count >= self.max_steps:

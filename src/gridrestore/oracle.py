@@ -34,17 +34,15 @@ Three interchangeable strategies:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .feeder import Feeder, feeder_hash
-from .powerflow import _restored, check_constraints, islands, solve, solve_batch
+from .powerflow import _restored, batch_rows, check_constraints, islands, solve, solve_batch
 
 MAX_BREAKERS = 26
-_BATCH_CELLS = 4096  # rows x buses per batched solve: about 1 MB of sweep arrays
 
 
 class TooManyBreakers(ValueError):
@@ -67,38 +65,16 @@ def _key(weighted: float, states: tuple[int, ...]):
     return (-weighted, sum(states), states)
 
 
-def _evaluate(feeder: Feeder, states: tuple[int, ...]):
-    solution = solve(feeder, states)
-    report = check_constraints(feeder, solution)
-    return report.all_ok, solution.served_weighted_kw, solution.served_load_kw
-
-
-def _enumerate_range(feeder: Feeder, start: int, stop: int):
-    """Naive-order evaluation of configurations start..stop-1 (by index)."""
-    n = feeder.n_breakers
-    best = None
-    feasible = 0
-    for i in range(start, stop):
-        states = tuple((i >> b) & 1 for b in range(n))
-        ok, weighted, served = _evaluate(feeder, states)
-        if ok:
-            feasible += 1
-            k = _key(weighted, states)
-            if best is None or k < best[0]:
-                best = (k, states, weighted, served)
-    return best, feasible
-
-
 def _enumerate_batches(feeder: Feeder, gray: bool = False):
     """(best, feasible count, solved count) over all 2^B configurations,
-    solved in batches of at most ``_BATCH_CELLS`` rows x buses.
+    solved in batches of ``powerflow.batch_rows`` rows.
 
     With ``gray``: Gray order and a capacity pre-screen, which skips any
     configuration whose topological served power already exceeds total
     generation (it must fail the power balance: losses are non-negative).
     """
     n, capacity = feeder.n_breakers, feeder.total_capacity_kw()
-    step = max(1, _BATCH_CELLS // len(feeder.buses))
+    step = batch_rows(feeder)
     best, feasible, solved = None, 0, 0
     for lo in range(0, 2 ** n, step):
         i = np.arange(lo, min(lo + step, 2 ** n))
@@ -118,21 +94,19 @@ def _enumerate_batches(feeder: Feeder, gray: bool = False):
     return best, feasible, solved
 
 
-def _brute_force_naive(feeder: Feeder, workers: int = 1) -> OracleResult:
+def _brute_force_naive(feeder: Feeder) -> OracleResult:
     n = feeder.n_breakers
     total = 2 ** n
-    if workers <= 1:
-        best, feasible = _enumerate_range(feeder, 0, total)
-    else:
-        chunk = (total + workers - 1) // workers
-        ranges = [(feeder, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.starmap(_enumerate_range, ranges)
-        best, feasible = None, 0
-        for b, f in parts:
-            feasible += f
-            if b is not None and (best is None or b[0] < best[0]):
-                best = b
+    best, feasible = None, 0
+    for i in range(total):
+        states = tuple((i >> b) & 1 for b in range(n))
+        solution = solve(feeder, states)
+        if check_constraints(feeder, solution).all_ok:
+            feasible += 1
+            weighted = solution.served_weighted_kw
+            k = _key(weighted, states)
+            if best is None or k < best[0]:
+                best = (k, states, weighted, solution.served_load_kw)
     if best is None:
         raise RuntimeError("no feasible configuration (not even all-open)")
     return OracleResult(best[1], best[2], best[3], feasible, total, "naive", total)
@@ -164,7 +138,7 @@ def decomposed_optimum(feeder: Feeder) -> OracleResult:
                         2 ** feeder.n_breakers, "decomposed", solved_total)
 
 
-def brute_force(feeder: Feeder, method: str = "auto", workers: int = 1) -> OracleResult:
+def brute_force(feeder: Feeder, method: str = "auto") -> OracleResult:
     """Feasible maximizer of weighted restored power over all 2^B states."""
     if feeder.n_breakers > MAX_BREAKERS:
         raise TooManyBreakers(
@@ -173,7 +147,7 @@ def brute_force(feeder: Feeder, method: str = "auto", workers: int = 1) -> Oracl
     if method == "auto":
         method = "decomposed" if len(islands(feeder)) >= 2 else "gray"
     if method == "naive":
-        return _brute_force_naive(feeder, workers=workers)
+        return _brute_force_naive(feeder)
     if method == "gray":
         return _brute_force_gray(feeder)
     if method == "decomposed":

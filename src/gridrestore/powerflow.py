@@ -42,6 +42,7 @@ from .feeder import Feeder, MicrogridPartition
 MAX_ITERATIONS = 100
 VOLTAGE_TOLERANCE = 1e-6
 _SLACK_KW = 1e-6  # absolute float slack for constraint comparisons
+_BATCH_CELLS = 4096  # rows x buses per batched solve: about 1 MB of sweep arrays
 
 
 @dataclass(frozen=True)
@@ -422,6 +423,11 @@ def _checks(idx: _NetworkIndex, sw: _Sweep, served_kw: np.ndarray):
     all_ok = sw.converged & balance_ok & voltage_ok & gen_p_ok & gen_q_ok & line_ok
     return all_ok, (balance_ok, idx.capacity_kw - demand, voltage_ok, *_worst(dev, -1.0, v, 1.0),
                     gen_p_ok, gen_q_ok, line_ok, *_worst(loading, 0.0, loading, 0.0))
+
+
+def batch_rows(feeder: Feeder) -> int:
+    """Rows per ``solve_batch`` call that keep it within ``_BATCH_CELLS``."""
+    return max(1, _BATCH_CELLS // len(feeder.buses))
 
 
 def solve_batch(feeder: Feeder, states) -> BatchVerdicts:

@@ -136,6 +136,64 @@ def random_multi_generator_feeder(
     return dataclasses.replace(base, generators=(g0, *extra))
 
 
+def joined_islands(rng, tree_of=random_radial_feeder):
+    """2-3 random trees as one feeder: breakers interleaved across islands,
+    agent 0 owning a breaker in two of them, p_min > 0 and weights < 1."""
+    parts = []
+    for t in range(int(rng.integers(2, 4))):
+        tree = tree_of(rng, max_buses=5, max_breakers=3)
+
+        def rename(name, prefix=f"t{t}"):
+            return prefix + name
+
+        parts.append(dataclasses.replace(
+            tree,
+            buses=tuple(dataclasses.replace(b, id=rename(b.id)) for b in tree.buses),
+            lines=tuple(
+                dataclasses.replace(
+                    ln, id=rename(ln.id), from_bus=rename(ln.from_bus), to_bus=rename(ln.to_bus)
+                )
+                for ln in tree.lines
+            ),
+            breakers=tuple(
+                dataclasses.replace(b, id=rename(b.id), line_id=rename(b.line_id))
+                for b in tree.breakers
+            ),
+            loads=tuple(
+                dataclasses.replace(
+                    ld, id=rename(ld.id), bus_id=rename(ld.bus_id),
+                    weight=float(np.round(rng.uniform(0.2, 1.0), 2)),
+                )
+                for ld in tree.loads
+            ),
+            generators=tuple(
+                dataclasses.replace(
+                    g, id=rename(g.id), bus_id=rename(g.bus_id),
+                    p_min=float(np.round(max(0.0, rng.uniform(-0.2, 0.2)) * g.p_max, 1)),
+                )
+                for g in tree.generators
+            ),
+        ))
+    breakers = [b for part in parts for b in part.breakers]
+    order = rng.permutation(len(breakers))
+    shared = (parts[0].breakers[0].id, parts[1].breakers[0].id)
+    rest = tuple(
+        ids for part in parts
+        if (ids := tuple(b.id for b in part.breakers if b.id not in shared))
+    )
+    return Feeder(
+        name="joined",
+        s_base_kva=1000.0,
+        v_base_kv=4.16,
+        buses=tuple(b for part in parts for b in part.buses),
+        lines=tuple(ln for part in parts for ln in part.lines),
+        breakers=tuple(breakers[i] for i in order),
+        loads=tuple(ld for part in parts for ld in part.loads),
+        generators=tuple(g for part in parts for g in part.generators),
+        partition=MicrogridPartition((shared, *rest)),
+    )
+
+
 def dense_reference_solve(feeder: Feeder, states, tol: float = 1e-8, max_iter: int = 300):
     """Implicit Z-bus Gauss power flow (dense linear algebra, no tree sweeps).
 

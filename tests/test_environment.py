@@ -9,19 +9,28 @@ from gridrestore import (
     Breaker,
     Bus,
     EpisodeExhausted,
+    EpsilonSchedule,
     Feeder,
     Generator,
+    Hyperparameters,
     InvalidJointAction,
     JointAction,
     Line,
     LoadPoint,
     MicrogridPartition,
     RestorationEnv,
+    TrainingConfig,
     check_constraints,
     decode_action,
     encode_action,
+    islands,
     solve,
+    train,
 )
+from gridrestore import powerflow
+from reference import joined_islands, random_multi_generator_feeder, random_radial_feeder
+
+DEFAULT_CELLS = powerflow._BATCH_CELLS
 
 
 def joint(*indices):
@@ -55,8 +64,13 @@ def test_reset_observation_shapes(ieee13, ieee123):
     assert [len(o.bits) for o in obs] == [10, 5, 3, 3, 5]
 
 
-def test_reset_state_reward_is_zero(env13):
-    assert env13.state_reward() == 0.0
+def test_reset_state_reward_is_zero(ieee13):
+    # No-op toggles keep the all-open reset state, which serves nothing.
+    env = RestorationEnv(ieee13, reward_mode="penalty")
+    env.reset()
+    result = env.step(NOOP13)
+    assert (result.reward, result.served_kw, result.weighted_kw) == (0.0, 0.0, 0.0)
+    assert result.constraints_ok
 
 
 def test_step_reward_is_normalized_restored_power(env13):
@@ -131,13 +145,15 @@ def test_penalty_mode_applies_and_counts_violations(ieee13):
     assert env.breaker_states[3] == 1  # the invalid action was applied
 
 
-def test_reward_penalty_examples(env13):
-    bad = joint(encode_action(0, True).index, encode_action(0, True).index)
+def test_reward_penalty_examples(ieee13):
+    env = RestorationEnv(ieee13, reward_mode="penalty", penalty=-2.5)
+    env.reset()
     # Put microgrid 1 at 570 kW so the extra 230 kW close becomes infeasible.
-    env13.step(joint(encode_action(1, True).index, 1))
-    env13.step(joint(encode_action(2, True).index, 1))
-    assert env13.reward_penalty(bad, -1.0) == -1.0
-    assert env13.reward_penalty(NOOP13) == pytest.approx(570.0 / 3461.0)
+    env.step(joint(encode_action(1, True).index, 1))
+    env.step(joint(encode_action(2, True).index, 1))
+    assert env.step(NOOP13).reward == pytest.approx(570.0 / 3461.0)
+    bad = joint(encode_action(0, True).index, encode_action(0, True).index)
+    assert env.step(bad).reward == -2.5
 
 
 def test_reward_penalty_full_restoration_is_one():
@@ -152,9 +168,9 @@ def test_reward_penalty_full_restoration_is_one():
         generators=(Generator("g", "a", 0.0, 300.0, 0.0, 200.0),),
         partition=MicrogridPartition((("cb",),)),
     )
-    env = RestorationEnv(feeder)
+    env = RestorationEnv(feeder, reward_mode="penalty")
     env.reset()
-    assert env.reward_penalty(JointAction((AgentAction(0),))) == pytest.approx(1.0)
+    assert env.step(JointAction((AgentAction(0),))).reward == pytest.approx(1.0)
 
 
 def test_joint_application_is_order_independent(ieee13):
@@ -230,9 +246,19 @@ def whole_feeder_verdict(feeder, states):
     return report.all_ok, solution.served_load_kw, solution.served_weighted_kw
 
 
-def test_island_verdicts_equal_whole_feeder_solves(ieee13, ieee123):
-    # Exact equality, no tolerance: the per-island memo must reproduce the
-    # whole-feeder verdict and served power bit for bit.
+def island_sum_verdict(feeder, states):
+    """Single solves of each island's sub-state, ANDed and summed in island order."""
+    ok, served, weighted = True, 0.0, 0.0
+    for positions, sub in islands(feeder):
+        f, s, w = whole_feeder_verdict(sub, states[list(positions)])
+        ok, served, weighted = ok and f, served + s, weighted + w
+    return ok, served, weighted
+
+
+def test_island_verdicts_equal_whole_feeder_solves(monkeypatch, ieee13, ieee123):
+    # Exact equality, no tolerance: on the built-ins (integral kW) the
+    # per-island memo must reproduce the whole-feeder verdict and served
+    # power bit for bit.
     env = RestorationEnv(ieee13)
     for bits in itertools.product((0, 1), repeat=9):
         states = np.array(bits, dtype=np.int8)
@@ -242,6 +268,45 @@ def test_island_verdicts_equal_whole_feeder_solves(ieee13, ieee123):
     for _ in range(1000):
         states = rng.integers(0, 2, 26).astype(np.int8)
         assert env._feasibility(states) == whole_feeder_verdict(ieee123, states)
+    # Seeded multi-island feeders: breakers interleaved across islands, one
+    # agent spanning two, split multi-generator islands, p_min > 0, and
+    # fractional kW. Budgets of 1 and 12 cells give one-row and 2- to 4-row
+    # pages on these islands. Island sums add in island order, the whole
+    # feeder's in load order, so only their kW may differ, in the last bits.
+    rng = np.random.default_rng(59)
+    for tree_of in (random_radial_feeder, random_multi_generator_feeder):
+        for _ in range(5):
+            feeder = joined_islands(rng, tree_of)
+            all_states = [np.array(bits, dtype=np.int8)
+                          for bits in itertools.product((0, 1), repeat=feeder.n_breakers)]
+            expected = [island_sum_verdict(feeder, states) for states in all_states]
+            for states, (ok, served, weighted) in zip(all_states, expected):
+                whole = whole_feeder_verdict(feeder, states)
+                assert ok == whole[0]
+                assert (served, weighted) == pytest.approx(whole[1:], rel=1e-12, abs=1e-12)
+            for cells in (1, 12, DEFAULT_CELLS):
+                monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
+                env = RestorationEnv(feeder, reward_mode="penalty")
+                assert [env._feasibility(states) for states in all_states] == expected
+
+
+def test_page_size_does_not_change_verdicts_or_training(monkeypatch, ieee123):
+    # One-row pages are the per-state memo; 7 x 45 cells give 4-row pages on
+    # the 45-bus, 10-breaker microgrid 1 and the default 64-row pages.
+    states = np.random.default_rng(61).integers(0, 2, (300, 26)).astype(np.int8)
+    cfg = TrainingConfig(episodes=5, hyper=Hyperparameters(seed=3, gamma=0.95),
+                         schedule=EpsilonSchedule(decay=0.004))
+    outcomes, page_bits = [], []
+    for cells in (1, 7 * 45, DEFAULT_CELLS):
+        monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
+        env = RestorationEnv(ieee123)
+        verdicts = [env._feasibility(s) for s in states]
+        models, logs = train(ieee123, cfg)
+        weights = [w.tobytes() for pair in models for w in (*pair.main.weights, *pair.main.biases)]
+        outcomes.append((verdicts, logs, weights))
+        page_bits.append(env._page_bits)
+    assert page_bits == [[0] * 5, [2, 3, 3, 3, 3], [6, 5, 3, 3, 5]]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_masked_env_requires_feasible_all_open(ieee13):
