@@ -7,29 +7,22 @@ and validates learned policies against a brute-force oracle.
 
 from .agent import (
     AgentPair,
-    AllActionsMasked,
     EpsilonSchedule,
     Experience,
     Hyperparameters,
     QNetwork,
     StackedLearner,
     UnderfilledBuffer,
-    act,
     load_checkpoint,
     save_checkpoint,
     train_step,
 )
 from .builtins import BUILTIN_NAMES, builtin_feeder
 from .environment import (
-    AgentAction,
     EpisodeExhausted,
     InvalidJointAction,
-    JointAction,
-    Observation,
     RestorationEnv,
     StepResult,
-    decode_action,
-    encode_action,
 )
 from .feeder import (
     Breaker,

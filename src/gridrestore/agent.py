@@ -25,10 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class AllActionsMasked(RuntimeError):
-    """Action selection was asked to choose from an empty candidate set."""
-
-
 class UnderfilledBuffer(RuntimeError):
     """sample() needs at least batch_size stored experiences."""
 
@@ -214,7 +210,7 @@ class StackedLearner:
         self.bits = np.empty((2, agents, capacity, widest[0]), dtype=np.int8)
         self.actions = np.empty((agents, capacity), dtype=np.intp)
         self.rewards = np.empty(capacity)
-        self._agents = np.arange(agents)[:, None]
+        self._offsets = np.arange(agents)[:, None] * capacity  # agent a's ring in the flat ring
         self.size = self._write = 0  # steps stored, next slot to write
 
     def _adopt(self, entry: int, net: QNetwork) -> QNetwork:
@@ -244,15 +240,17 @@ class StackedLearner:
         if batch_size > self.size:
             raise UnderfilledBuffer(f"buffer holds {self.size} < batch_size {batch_size}")
         picks = np.array([rng.choice(self.size, size=batch_size, replace=False)
-                          for _ in self._agents])
-        bits = self.bits[:, self._agents, picks].astype(float)
-        return (bits.reshape(-1, batch_size, bits.shape[-1]),
-                self.actions[self._agents, picks], self.rewards[picks])
+                          for _ in self._offsets])
+        flat = picks + self._offsets
+        width = self.bits.shape[-1]
+        bits = self.bits.reshape(2, -1, width).take(flat, axis=1).astype(float)
+        return (bits.reshape(-1, batch_size, width),
+                self.actions.take(flat), self.rewards.take(picks))
 
     def sync_target(self) -> None:
         """Copy every main network into its target (bit-equal)."""
         for stack in self.weights + self.biases:
-            stack[len(self._agents):] = stack[: len(self._agents)]
+            stack[len(self.pairs):] = stack[: len(self.pairs)]
 
     def train_step(self, observations, actions, rewards, hp: Hyperparameters) -> None:
         """One SGD step of every agent on a batch shaped like ``sample``'s."""
@@ -286,31 +284,6 @@ class StackedLearner:
             grad_b *= hp.eta
             self.weights[layer][:agents] -= grad_w
             self.biases[layer][:agents] -= grad_b
-
-
-def act(
-    net: QNetwork,
-    observation,
-    eps: float,
-    mask,
-    rng: np.random.Generator,
-) -> int:
-    """Epsilon-greedy action index over the non-masked toggles.
-
-    With probability eps the choice is uniform over allowed indices, otherwise
-    the argmax of the network output (ties to the lowest index).
-    """
-    forbidden = set(mask) if mask else set()
-    allowed = [i for i in range(net.n_outputs) if i not in forbidden]
-    if not allowed:
-        raise AllActionsMasked("every action index is masked")
-    if eps > 0 and rng.random() < eps:
-        return allowed[int(rng.integers(len(allowed)))]
-    q = net.forward(observation)
-    masked = q.copy()
-    if forbidden:
-        masked[list(forbidden)] = -np.inf
-    return int(np.argmax(masked))
 
 
 def train_step(pair: AgentPair, batch: list[Experience], hp: Hyperparameters) -> float:

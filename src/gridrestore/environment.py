@@ -1,9 +1,13 @@
 """Markov decision process over breaker switching in a partitioned feeder.
 
 Each agent owns the breakers of one microgrid and sees only their states.
-A step applies every agent's toggle simultaneously, looks up the power-flow
-verdict of the new state, and returns the per-agent observations and the
-shared normalized reward (weighted restored power over total rated load).
+A joint action is a sequence of per-agent ints: index 2k closes the agent's
+breaker k and 2k+1 opens it. A step applies every agent's toggle
+simultaneously, looks up the power-flow verdict of the new state, and returns
+the observations and the shared normalized reward (weighted restored power
+over total rated load). The observations are one ``(agents, widest)`` int8
+array: row i holds agent i's breaker bits in partition order, zero-padded to
+the widest agent, the layout of the learner's replay ring.
 Verdicts are solved and memoized per island (see ``powerflow.islands``): a
 state is feasible when every island's sub-state is. The memo is paged: an
 island's bits, read as an integer (bit j is its j-th breaker), select a page
@@ -44,45 +48,12 @@ class InvalidJointAction(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Observation:
-    """Breaker states of one agent's microgrid, in partition order."""
-
-    bits: tuple[int, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.bits, dtype=float)
-
-
-@dataclass(frozen=True)
-class AgentAction:
-    """Index into an agent's 2n one-hot toggle space: 2k closes breaker k,
-    2k+1 opens it."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class JointAction:
-    actions: tuple[AgentAction, ...]
-
-
-@dataclass(frozen=True)
 class StepResult:
-    observations: tuple[Observation, ...]
+    observations: np.ndarray  # (agents, widest) int8 rows, as ``reset`` returns
     reward: float
     served_kw: float
     weighted_kw: float
     constraints_ok: bool
-
-
-def encode_action(breaker_ordinal: int, close: bool) -> AgentAction:
-    if breaker_ordinal < 0:
-        raise ValueError("breaker ordinal must be non-negative")
-    return AgentAction(2 * breaker_ordinal + (0 if close else 1))
-
-
-def decode_action(action: AgentAction) -> tuple[int, bool]:
-    return action.index // 2, action.index % 2 == 0
 
 
 class RestorationEnv:
@@ -110,7 +81,13 @@ class RestorationEnv:
         covered = [i for grp in self.agent_breakers for i in grp]
         if sorted(covered) != list(range(feeder.n_breakers)):
             raise ValueError("agent breaker groups must partition all breakers")
-        self._states = np.zeros(feeder.n_breakers, dtype=np.int64)  # as _place: no cast per lookup
+        # The breaker states and one trailing 0 that padded observation slots
+        # read; int64 as _place, so a lookup does not cast.
+        self._states = np.zeros(feeder.n_breakers + 1, dtype=np.int64)
+        width = max(map(len, self.agent_breakers), default=0)
+        self._slots = np.full((self.n_agents, width), feeder.n_breakers, dtype=np.intp)
+        for i, grp in enumerate(self.agent_breakers):
+            self._slots[i, : len(grp)] = grp
         self.step_count = 0
         self.violation_count = 0
         self._denominator = feeder.total_load_kw()
@@ -145,42 +122,27 @@ class RestorationEnv:
 
     @property
     def breaker_states(self) -> tuple[int, ...]:
-        return tuple(int(s) for s in self._states)
-
-    def observations(self) -> tuple[Observation, ...]:
-        return tuple(
-            Observation(tuple(int(self._states[i]) for i in grp))
-            for grp in self.agent_breakers
-        )
-
-    def noop_open_actions(self, agent: int) -> list[int]:
-        """Open-toggle indices that are no-ops (their breaker is already open)."""
-        return [
-            2 * k + 1
-            for k, b in enumerate(self.agent_breakers[agent])
-            if not self._states[b]
-        ]
+        return tuple(self._states[:-1].tolist())
 
     # -- dynamics ---------------------------------------------------------------
 
-    def reset(self) -> tuple[Observation, ...]:
-        """All breakers open (the post-outage state), step counter cleared."""
+    def reset(self) -> np.ndarray:
+        """All breakers open (the post-outage state), step counter cleared;
+        returns the observation rows."""
         self._states[:] = 0
         self.step_count = 0
-        return self.observations()
+        return self._states[self._slots].astype(np.int8)
 
-    def _candidate_states(self, joint: JointAction) -> np.ndarray:
-        if len(joint.actions) != self.n_agents:
-            raise ValueError("joint action length must equal the agent count")
+    def _candidate_states(self, actions) -> np.ndarray:
+        if len(actions) != self.n_agents:
+            raise ValueError(
+                f"joint action has {len(actions)} entries for {self.n_agents} agents"
+            )
         nxt = self._states.copy()
-        for agent, action in enumerate(joint.actions):
-            group = self.agent_breakers[agent]
-            ordinal, close = decode_action(action)
-            if not (0 <= ordinal < len(group)):
-                raise ValueError(
-                    f"action index {action.index} out of range for agent {agent}"
-                )
-            nxt[group[ordinal]] = 1 if close else 0
+        for agent, (group, a) in enumerate(zip(self.agent_breakers, actions)):
+            if not 0 <= a < 2 * len(group):
+                raise ValueError(f"action index {a} out of range for agent {agent}")
+            nxt[group[a >> 1]] = 1 - (a & 1)
         return nxt
 
     def _page(self, k: int, page: int) -> list[tuple[bool, float, float]]:
@@ -205,21 +167,21 @@ class RestorationEnv:
     def _reward_of(self, weighted_kw: float) -> float:
         return weighted_kw / self._denominator if self._denominator > 0 else 0.0
 
-    def validate_joint(self, joint: JointAction) -> bool:
+    def validate_joint(self, actions) -> bool:
         """Would this joint action keep every constraint satisfied?
 
         Shadow evaluation on a copy; the live state is never touched.
         """
-        ok, _, _ = self._feasibility(self._candidate_states(joint))
+        ok, _, _ = self._feasibility(self._candidate_states(actions)[:-1])
         return ok
 
-    def step(self, joint: JointAction) -> StepResult:
+    def step(self, actions) -> StepResult:
         if self.step_count >= self.max_steps:
             raise EpisodeExhausted(
                 f"episode already ran {self.max_steps} steps; reset() first"
             )
-        nxt = self._candidate_states(joint)
-        ok, served, weighted = self._feasibility(nxt)
+        nxt = self._candidate_states(actions)
+        ok, served, weighted = self._feasibility(nxt[:-1])
         if self.reward_mode == "masked" and not ok:
             raise InvalidJointAction(
                 "masked-mode step received a constraint-violating joint action"
@@ -232,7 +194,7 @@ class RestorationEnv:
         self._states = nxt
         self.step_count += 1
         return StepResult(
-            observations=self.observations(),
+            observations=nxt[self._slots].astype(np.int8),
             reward=reward,
             served_kw=served,
             weighted_kw=weighted,

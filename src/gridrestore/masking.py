@@ -1,10 +1,11 @@
 """Joint action selection under invalid-action masking.
 
-Exploration resamples the entire joint action until the environment's shadow
-power flow accepts it. Exploitation starts from every agent's greedy proposal;
-while the joint is invalid, one uniformly random agent pins its current best
-action value to -inf and everyone reselects. Demotions never persist across
-environment steps: each call starts from a fresh mask state.
+A joint action is a tuple of per-agent action indices (2k closes the agent's
+breaker k, 2k+1 opens it). Exploration resamples the entire joint action until
+the environment's shadow power flow accepts it. Exploitation starts from every
+agent's greedy proposal; while the joint is invalid, one uniformly random agent
+pins its current best action value to -inf and reselects. Demotions never
+persist across environment steps: each call starts from a fresh mask state.
 
 Both procedures only ever return joint actions that pass the validity oracle,
 which is what keeps masked training at zero constraint violations.
@@ -13,8 +14,6 @@ which is what keeps masked training at zero constraint violations.
 from __future__ import annotations
 
 import numpy as np
-
-from .environment import AgentAction, JointAction
 
 EXPLORE_RESAMPLE_CAP = 1000
 
@@ -26,12 +25,10 @@ class MaskingError(RuntimeError):
     agent with every breaker closed has no no-op, so that can still fail."""
 
 
-def explore_joint(validate, action_counts, rng: np.random.Generator) -> JointAction:
+def explore_joint(validate, action_counts, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform random joint action, resampled as a whole until valid."""
     for _ in range(EXPLORE_RESAMPLE_CAP):
-        joint = JointAction(
-            tuple(AgentAction(int(rng.integers(n))) for n in action_counts)
-        )
+        joint = tuple(int(rng.integers(n)) for n in action_counts)
         if validate(joint):
             return joint
     raise MaskingError(
@@ -42,42 +39,42 @@ def explore_joint(validate, action_counts, rng: np.random.Generator) -> JointAct
 def exploit_joint(
     validate,
     q_vectors,
-    noop_actions,
+    observations,
     rng: np.random.Generator,
-) -> JointAction:
+) -> tuple[int, ...]:
     """Greedy joint action with iterative Q-demotion until valid.
 
-    ``q_vectors``   one action-value vector per agent (not modified);
-    ``noop_actions`` per agent, the open-toggle indices that are no-ops in the
-    current state, used only by the exhaustion fallback.
+    ``q_vectors``    one action-value vector per agent (not modified);
+    ``observations`` per agent, its breaker bits (a row may be zero-padded past
+    the agent's breakers); the exhaustion fallback reads the open breakers
+    from them, whose open toggles are no-ops in the current state.
     """
     n_agents = len(q_vectors)
     originals = [np.asarray(q, dtype=float) for q in q_vectors]
-    working = [q.copy() for q in originals]
-    forced: list[int | None] = [None] * n_agents
-
-    def proposal(i: int) -> int:
-        if forced[i] is not None:
-            return forced[i]
-        return int(np.argmax(working[i]))  # ties break to the lowest index
+    working = list(originals)  # an agent's vector is copied at its first demotion
+    joint = [int(np.argmax(q)) for q in originals]  # ties break to the lowest index
+    forced = [False] * n_agents
 
     cap = sum(len(q) for q in q_vectors) + n_agents + 1
     for _ in range(cap):
-        joint = JointAction(tuple(AgentAction(proposal(i)) for i in range(n_agents)))
-        if validate(joint):
-            return joint
-        live = [i for i in range(n_agents) if forced[i] is None]
+        if validate(tuple(joint)):
+            return tuple(joint)
+        live = [i for i in range(n_agents) if not forced[i]]
         if not live:
             # Everyone is pinned to a no-op, which must preserve the feasible
             # current state; an invalid verdict here means the oracle is broken.
             break
         j = live[int(rng.integers(len(live)))]
-        working[j][proposal(j)] = -np.inf
+        if working[j] is originals[j]:
+            working[j] = originals[j].copy()
+        working[j][joint[j]] = -np.inf
         if np.all(np.isneginf(working[j])):
             # Exhausted its whole action set: force the open no-op with the
             # highest original value (any open toggle if none is a no-op).
-            candidates = list(noop_actions[j]) or [
-                k for k in range(len(originals[j])) if k % 2 == 1
-            ]
-            forced[j] = max(candidates, key=lambda k: (originals[j][k], -k))
+            odd = range(1, len(originals[j]), 2)
+            candidates = [k for k in odd if not observations[j][k >> 1]] or list(odd)
+            joint[j] = max(candidates, key=lambda k: (originals[j][k], -k))
+            forced[j] = True
+        else:
+            joint[j] = int(np.argmax(working[j]))
     raise MaskingError("mask demotion loop failed to reach a valid joint action")

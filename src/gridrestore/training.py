@@ -4,11 +4,12 @@ execution, and side-by-side variant comparison.
 A training run is one sequential loop per the distributed deep-Q procedure:
 per episode, reset to all-open; per step, one epsilon draw switches the whole
 joint selection between masked random exploration and masked greedy
-exploitation; the environment applies the joint action; every agent's local
-experience goes into one int8 replay ring and every agent takes one
-replay-batch gradient step, all in one ``StackedLearner.train_step``; target
-networks are refreshed every ``sync_interval`` environment steps; epsilon
-decays per episode. Identical (feeder, config) pairs reproduce bit-for-bit.
+exploitation; the environment applies the joint action (one action index per
+agent) and returns every agent's int8 observation row, which go into one replay
+ring as they are; every agent takes one replay-batch gradient step, all in one
+``StackedLearner.train_step``; target networks are refreshed every
+``sync_interval`` environment steps; epsilon decays per episode. Identical
+(feeder, config) pairs reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from .agent import (
     load_checkpoint,
     save_checkpoint,
 )
-from .environment import (
-    AgentAction,
-    JointAction,
-    RestorationEnv,
-    decode_action,
-)
+from .environment import RestorationEnv
 from .feeder import Feeder
 from .masking import exploit_joint, explore_joint
 
@@ -166,13 +162,13 @@ def train(feeder: Feeder, cfg: TrainingConfig):
         for i, g in enumerate(slots)
     ], cfg.hyper.capacity)
     counts = env.action_space_sizes()
+    mains = [(pair.main, len(g)) for pair, g in zip(learner.pairs, slots)]
     logs: list[EpisodeLog] = []
     sync_clock = 0
 
     for episode in range(cfg.episodes):
         eps = cfg.schedule.value(episode)
-        obs = env.reset()
-        rows = np.zeros((len(slots), learner.bits.shape[-1]), dtype=np.int8)
+        rows = env.reset()
         total_reward = 0.0
         violations = 0
         served_end = 0.0
@@ -181,30 +177,19 @@ def train(feeder: Feeder, cfg: TrainingConfig):
                 if cfg.masking:
                     joint = explore_joint(env.validate_joint, counts, rng)
                 else:
-                    joint = JointAction(
-                        tuple(AgentAction(int(rng.integers(n))) for n in counts)
-                    )
+                    joint = tuple(int(rng.integers(n)) for n in counts)
             else:
-                q_vectors = [
-                    pair.main.forward(obs[i].as_array())
-                    for i, pair in enumerate(learner.pairs)
-                ]
+                q_vectors = [net.forward(rows[i, :n]) for i, (net, n) in enumerate(mains)]
                 if cfg.masking:
-                    noops = [env.noop_open_actions(i) for i in range(len(slots))]
-                    joint = exploit_joint(env.validate_joint, q_vectors, noops, rng)
+                    joint = exploit_joint(env.validate_joint, q_vectors, rows, rng)
                 else:
-                    joint = JointAction(
-                        tuple(AgentAction(int(np.argmax(q))) for q in q_vectors)
-                    )
+                    joint = tuple(int(np.argmax(q)) for q in q_vectors)
             result = env.step(joint)
             total_reward += result.reward
             if not result.constraints_ok:
                 violations += 1
-            next_rows = np.zeros_like(rows)
-            for i, o in enumerate(result.observations):
-                next_rows[i, : len(o.bits)] = o.bits
-            learner.push(rows, [a.index for a in joint.actions], result.reward, next_rows)
-            obs, rows = result.observations, next_rows
+            learner.push(rows, joint, result.reward, result.observations)
+            rows = result.observations
             served_end = result.served_kw
             sync_clock += 1
             if learner.size >= cfg.hyper.batch_size:
@@ -248,35 +233,32 @@ def execute(
     env = RestorationEnv(
         feeder, reward_mode="penalty", max_steps=max_steps, agent_breakers=slots
     )
-    obs = env.reset()
+    rows = env.reset()
     denominator = feeder.total_load_kw()
     entries: list[TraceEntry] = []
     step_states: list[tuple[int, ...]] = []
     for step in range(1, max_steps + 1):
-        joint = JointAction(
-            tuple(
-                AgentAction(int(np.argmax(net.forward(obs[i].as_array()))))
-                for i, net in enumerate(nets)
-            )
-        )
+        joint = [
+            int(np.argmax(net.forward(rows[i, : len(group)])))
+            for i, (net, group) in enumerate(zip(nets, slots))
+        ]
         result = env.step(joint)
         reward = (
             result.weighted_kw / denominator if denominator > 0 else 0.0
         )
-        for i, action in enumerate(joint.actions):
-            ordinal, close = decode_action(action)
+        for i, a in enumerate(joint):
             entries.append(
                 TraceEntry(
                     step=step,
                     agent=i,
-                    breaker=feeder.breakers[slots[i][ordinal]].id,
-                    toggle="close" if close else "open",
+                    breaker=feeder.breakers[slots[i][a >> 1]].id,
+                    toggle="open" if a & 1 else "close",
                     served_kw=result.served_kw,
                     reward=reward,
                     violation=0 if result.constraints_ok else 1,
                 )
             )
-        obs = result.observations
+        rows = result.observations
         step_states.append(env.breaker_states)
     return RestorationTrace(entries, step_states)
 

@@ -5,14 +5,14 @@ import pytest
 
 from gridrestore import (
     AgentPair,
-    AllActionsMasked,
     EpsilonSchedule,
     Experience,
     Hyperparameters,
     QNetwork,
     StackedLearner,
     UnderfilledBuffer,
-    act,
+    exploit_joint,
+    explore_joint,
     load_checkpoint,
     save_checkpoint,
     train_step,
@@ -65,41 +65,30 @@ def test_initialization_bounds_and_seeding():
         assert np.all(np.abs(w) <= bound)
 
 
-def test_act_masked_argmax_exact():
-    net = zero_network([2, 4])
-    net.biases[0] = np.array([0.1, 0.9, 0.3, 0.2])
-    rng = np.random.default_rng(0)
-    assert act(net, [0, 0], 0.0, {1}, rng) == 2
-    assert act(net, [0, 0], 0.0, {1, 2}, rng) == 3
-    with pytest.raises(AllActionsMasked):
-        act(net, [0, 0], 0.0, {0, 1, 2, 3}, rng)
-
-
-def test_act_tie_breaks_to_lowest_index():
-    net = zero_network([2, 4])
-    rng = np.random.default_rng(0)
-    assert act(net, [0, 0], 0.0, set(), rng) == 0
-    net.biases[0] = np.array([0.5, 0.7, 0.7, 0.1])
-    assert act(net, [0, 0], 0.0, set(), rng) == 1
-
-
 def test_act_argmax_invariant_to_constant_shift():
+    # Greedy selection with every joint valid is the argmax of the network's
+    # output, ties to the lowest index, and a constant shift does not move it.
     net = zero_network([2, 5])
     net.biases[0] = np.array([0.3, -0.2, 0.9, 0.9, 0.0])
-    rng = np.random.default_rng(0)
-    base = act(net, [0, 0], 0.0, set(), rng)
+
+    def greedy():
+        q = [net.forward([0, 0])]
+        return exploit_joint(lambda joint: True, q, np.zeros((1, 2)), np.random.default_rng(0))
+
+    base = greedy()
     net.biases[0] += 123.456
-    assert act(net, [0, 0], 0.0, set(), rng) == base
+    assert greedy() == base == (2,)
 
 
 def test_act_epsilon_one_is_seeded_uniform():
-    net = zero_network([2, 6])
-    draws1 = [act(net, [0, 0], 1.0, set(), np.random.default_rng(42)) for _ in range(1)]
-    draws2 = [act(net, [0, 0], 1.0, set(), np.random.default_rng(42)) for _ in range(1)]
-    assert draws1 == draws2
+    # Exploration draws are seeded, and uniform over the indices the mask allows.
+    def draw(seed):
+        return explore_joint(lambda joint: True, [6], np.random.default_rng(seed))
+
+    assert draw(42) == draw(42)
     rng = np.random.default_rng(9)
-    seen = {act(net, [0, 0], 1.0, {0, 5}, rng) for _ in range(200)}
-    assert seen == {1, 2, 3, 4}
+    seen = {explore_joint(lambda joint: joint[0] not in (0, 5), [6], rng) for _ in range(200)}
+    assert seen == {(1,), (2,), (3,), (4,)}
 
 
 def test_epsilon_schedule_values():
@@ -156,6 +145,7 @@ def test_replay_buffer_underfilled_and_determinism():
     assert np.array_equal(actions, [picks[0], 5 - picks[1]])
     assert bits.dtype == float and bits.shape == (4, 4, 3)
     assert np.array_equal(bits[0, :, 2], picks[0] >> 2)
+    assert np.array_equal(bits[1, :, 0], picks[1] & 1) and not bits[1, :, 1:].any()
     assert np.array_equal(bits[:2], bits[2:])  # next observations follow
     _, full, _ = ring.sample(6, np.random.default_rng(1))
     assert all(len(set(row)) == 6 for row in full)  # without replacement

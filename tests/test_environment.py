@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gridrestore import (
-    AgentAction,
     Breaker,
     Bus,
     EpisodeExhausted,
@@ -14,15 +13,12 @@ from gridrestore import (
     Generator,
     Hyperparameters,
     InvalidJointAction,
-    JointAction,
     Line,
     LoadPoint,
     MicrogridPartition,
     RestorationEnv,
     TrainingConfig,
     check_constraints,
-    decode_action,
-    encode_action,
     islands,
     solve,
     train,
@@ -34,7 +30,15 @@ DEFAULT_CELLS = powerflow._BATCH_CELLS
 
 
 def joint(*indices):
-    return JointAction(tuple(AgentAction(i) for i in indices))
+    return indices
+
+
+def close(ordinal):
+    return 2 * ordinal
+
+
+def open_(ordinal):
+    return 2 * ordinal + 1
 
 
 NOOP13 = joint(1, 1)  # open-toggle on already-open breaker 0 of each agent
@@ -47,21 +51,29 @@ def env13(ieee13):
     return env
 
 
-def test_action_encoding_bijection():
-    assert encode_action(0, True).index == 0
-    assert encode_action(2, False).index == 5
-    assert decode_action(AgentAction(3)) == (1, False)
-    for ordinal in range(6):
-        for close in (True, False):
-            assert decode_action(encode_action(ordinal, close)) == (ordinal, close)
+def test_action_encoding_bijection(ieee13):
+    # From the all-open state, index 2k closes an agent's breaker k and 2k+1
+    # opens it again, for every breaker of every agent.
+    env = RestorationEnv(ieee13, reward_mode="penalty", max_steps=100)
+    env.reset()
+    for agent, group in enumerate(env.agent_breakers):
+        for k, breaker in enumerate(group):
+            actions = [open_(0)] * env.n_agents
+            actions[agent] = close(k)
+            env.step(actions)
+            assert env.breaker_states == tuple(int(b == breaker) for b in range(9))
+            actions[agent] = open_(k)
+            env.step(actions)
+            assert env.breaker_states == (0,) * 9
 
 
 def test_reset_observation_shapes(ieee13, ieee123):
     obs = RestorationEnv(ieee13).reset()
-    assert [len(o.bits) for o in obs] == [4, 5]
-    assert all(all(b == 0 for b in o.bits) for o in obs)
+    assert obs.shape == (2, 5) and obs.dtype == np.int8
+    assert not obs.any()
     obs = RestorationEnv(ieee123).reset()
-    assert [len(o.bits) for o in obs] == [10, 5, 3, 3, 5]
+    assert obs.shape == (5, 10) and obs.dtype == np.int8
+    assert RestorationEnv(ieee123).action_space_sizes() == [20, 10, 6, 6, 10]
 
 
 def test_reset_state_reward_is_zero(ieee13):
@@ -76,7 +88,7 @@ def test_reset_state_reward_is_zero(ieee13):
 def test_step_reward_is_normalized_restored_power(env13):
     # agent 0 closes its 400 kW load (ordinal 2), agent 1 its 170 kW load
     # (ordinal 0): restored 570 of 3461 kW.
-    result = env13.step(joint(encode_action(2, True).index, encode_action(0, True).index))
+    result = env13.step(joint(close(2), close(0)))
     assert result.reward == pytest.approx(570.0 / 3461.0, abs=1e-12)
     assert result.served_kw == 570.0
     assert result.constraints_ok
@@ -84,10 +96,10 @@ def test_step_reward_is_normalized_restored_power(env13):
 
 
 def test_noop_toggles_change_nothing(env13):
-    first = env13.step(joint(encode_action(2, True).index, encode_action(0, True).index))
+    first = env13.step(joint(close(2), close(0)))
     before = env13.breaker_states
     # Open-toggles aimed at still-open breakers are legal no-ops.
-    second = env13.step(joint(encode_action(0, False).index, encode_action(1, False).index))
+    second = env13.step(joint(open_(0), open_(1)))
     assert env13.breaker_states == before
     assert second.reward == pytest.approx(first.reward)
 
@@ -106,15 +118,15 @@ def test_episode_exhaustion(ieee13):
 def test_validate_joint_examples(env13):
     assert env13.validate_joint(NOOP13) is True
     # One 128 kW load alone is feasible.
-    assert env13.validate_joint(joint(1, encode_action(1, True).index)) is True
+    assert env13.validate_joint(joint(1, close(1))) is True
     # 230 + 170 + 200 kW in microgrid 1 exceeds its 590 kW source.
-    env13.step(joint(encode_action(0, True).index, 1))
-    env13.step(joint(encode_action(1, True).index, 1))
-    assert env13.validate_joint(joint(encode_action(3, True).index, 1)) is False
+    env13.step(joint(close(0), 1))
+    env13.step(joint(close(1), 1))
+    assert env13.validate_joint(joint(close(3), 1)) is False
 
 
 def test_validate_joint_is_pure(env13):
-    env13.step(joint(encode_action(2, True).index, encode_action(2, True).index))
+    env13.step(joint(close(2), close(2)))
     snapshot = (env13.breaker_states, env13.step_count, env13.violation_count)
     for index in range(8):
         env13.validate_joint(joint(index, index))
@@ -125,9 +137,9 @@ def test_masked_step_rejects_invalid_joint(ieee13):
     env = RestorationEnv(ieee13, reward_mode="masked")
     env.reset()
     # Close everything at once: 3461 kW > 2600 kW capacity.
-    env.step(joint(encode_action(0, True).index, encode_action(0, True).index))
-    env.step(joint(encode_action(1, True).index, encode_action(1, True).index))
-    bad = joint(encode_action(2, True).index, encode_action(2, True).index)
+    env.step(joint(close(0), close(0)))
+    env.step(joint(close(1), close(1)))
+    bad = joint(close(2), close(2))
     assert env.validate_joint(bad) is False
     with pytest.raises(InvalidJointAction):
         env.step(bad)
@@ -136,9 +148,9 @@ def test_masked_step_rejects_invalid_joint(ieee13):
 def test_penalty_mode_applies_and_counts_violations(ieee13):
     env = RestorationEnv(ieee13, reward_mode="penalty", penalty=-1.0)
     env.reset()
-    env.step(joint(encode_action(0, True).index, 1))
-    env.step(joint(encode_action(1, True).index, 1))
-    result = env.step(joint(encode_action(3, True).index, 1))
+    env.step(joint(close(0), 1))
+    env.step(joint(close(1), 1))
+    result = env.step(joint(close(3), 1))
     assert result.reward == -1.0
     assert not result.constraints_ok
     assert env.violation_count == 1
@@ -149,10 +161,10 @@ def test_reward_penalty_examples(ieee13):
     env = RestorationEnv(ieee13, reward_mode="penalty", penalty=-2.5)
     env.reset()
     # Put microgrid 1 at 570 kW so the extra 230 kW close becomes infeasible.
-    env.step(joint(encode_action(1, True).index, 1))
-    env.step(joint(encode_action(2, True).index, 1))
+    env.step(joint(close(1), 1))
+    env.step(joint(close(2), 1))
     assert env.step(NOOP13).reward == pytest.approx(570.0 / 3461.0)
-    bad = joint(encode_action(0, True).index, encode_action(0, True).index)
+    bad = joint(close(0), close(0))
     assert env.step(bad).reward == -2.5
 
 
@@ -170,13 +182,13 @@ def test_reward_penalty_full_restoration_is_one():
     )
     env = RestorationEnv(feeder, reward_mode="penalty")
     env.reset()
-    assert env.step(JointAction((AgentAction(0),))).reward == pytest.approx(1.0)
+    assert env.step(joint(0)).reward == pytest.approx(1.0)
 
 
 def test_joint_application_is_order_independent(ieee13):
     a = RestorationEnv(ieee13)
     a.reset()
-    a.step(joint(encode_action(2, True).index, encode_action(4, True).index))
+    a.step(joint(close(2), close(4)))
     expected = list(0 for _ in range(9))
     # apply agent 1's toggle first, then agent 0's, by hand
     expected[ieee13.agent_breaker_indices(1)[4]] = 1
@@ -189,9 +201,9 @@ def test_step_determinism(ieee13):
     for _ in range(2):
         env = RestorationEnv(ieee13)
         env.reset()
-        r1 = env.step(joint(encode_action(2, True).index, encode_action(0, True).index))
-        r2 = env.step(joint(encode_action(1, True).index, encode_action(4, True).index))
-        results.append((r1.reward, r2.reward, [o.bits for o in r2.observations]))
+        r1 = env.step(joint(close(2), close(0)))
+        r2 = env.step(joint(close(1), close(4)))
+        results.append((r1.reward, r2.reward, r2.observations.tolist()))
     assert results[0] == results[1]
 
 
@@ -213,13 +225,70 @@ def test_out_of_range_action_rejected(env13):
     with pytest.raises(ValueError):
         env13.step(joint(8, 0))
     with pytest.raises(ValueError):
-        env13.step(JointAction((AgentAction(0),)))
+        env13.step(joint(0))
 
 
 def test_noop_open_actions_track_state(env13):
-    assert env13.noop_open_actions(0) == [1, 3, 5, 7]
-    env13.step(joint(encode_action(1, True).index, 1))
-    assert env13.noop_open_actions(0) == [1, 5, 7]
+    # An open toggle is a no-op when its breaker reads open in the agent's row.
+    def noops(rows):
+        return [open_(k) for k in range(4) if not rows[0, k]]
+
+    assert noops(env13.reset()) == [1, 3, 5, 7]
+    assert noops(env13.step(joint(close(1), 1)).observations) == [1, 5, 7]
+
+
+@pytest.mark.parametrize("name", ["ieee13", "ieee123", "joined"])
+def test_each_action_moves_only_its_breaker_and_rows_mirror_the_state(request, name):
+    # joined: agents of 2, 1, 1 and 3 breakers, agent 0 spanning two islands.
+    if name == "joined":
+        feeder = joined_islands(np.random.default_rng(66))
+    else:
+        feeder = request.getfixturevalue(name)
+    env = RestorationEnv(feeder, reward_mode="penalty", max_steps=10**6)
+    groups = env.agent_breakers
+    width = max(map(len, groups))
+
+    def expected_rows():
+        rows = np.zeros((len(groups), width), dtype=np.int8)
+        for i, group in enumerate(groups):
+            rows[i, : len(group)] = [env.breaker_states[b] for b in group]
+        return rows
+
+    rng = np.random.default_rng(5)
+    rows = env.reset()
+    for _ in range(6):  # reachable states along a random walk
+        assert rows.dtype == np.int8 and np.array_equal(rows, expected_rows())
+        before = env.breaker_states
+        # Re-asserting breaker 0's own state keeps every other agent still.
+        keep = [close(0) if before[group[0]] else open_(0) for group in groups]
+        for agent, group in enumerate(groups):
+            for a in range(2 * len(group)):
+                actions = list(keep)
+                actions[agent] = a
+                after = list(before)
+                after[group[a >> 1]] = 1 - (a & 1)
+                result = env.step(actions)
+                assert env.breaker_states == tuple(after)
+                assert np.array_equal(result.observations, expected_rows())
+                actions[agent] = (close if before[group[a >> 1]] else open_)(a >> 1)
+                env.step(actions)
+                assert env.breaker_states == before
+        steps = env.step_count
+        for bad in (keep[:-1], keep + [1]):
+            with pytest.raises(ValueError, match=f"{len(bad)} entries for {len(groups)} agents"):
+                env.validate_joint(bad)
+            with pytest.raises(ValueError, match=f"{len(bad)} entries"):
+                env.step(bad)
+        for agent, group in enumerate(groups):
+            for a in (-1, 2 * len(group)):
+                bad = list(keep)
+                bad[agent] = a
+                with pytest.raises(ValueError, match=f"index {a} out of range for agent {agent}"):
+                    env.validate_joint(bad)
+                with pytest.raises(ValueError, match=f"agent {agent}"):
+                    env.step(bad)
+        assert (env.breaker_states, env.step_count) == (before, steps)
+        rows = env.step([int(rng.integers(n)) for n in env.action_space_sizes()]).observations
 
 
 def test_a_valid_joint_action_always_exists(ieee13):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gridrestore import (
-    JointAction,
     MaskingError,
     RestorationEnv,
     exploit_joint,
@@ -16,7 +15,7 @@ class CountingValidator:
 
     def __init__(self, verdicts):
         self.verdicts = list(verdicts)
-        self.queries: list[JointAction] = []
+        self.queries: list[tuple[int, ...]] = []
 
     def __call__(self, joint):
         self.queries.append(joint)
@@ -42,8 +41,9 @@ def test_explore_returns_first_valid_sample():
     joint = explore_joint(validator, [8, 10], np.random.default_rng(0))
     assert len(validator.queries) == 1
     assert validator.queries[0] == joint
-    assert 0 <= joint.actions[0].index < 8
-    assert 0 <= joint.actions[1].index < 10
+    assert all(type(a) is int for a in joint)
+    assert 0 <= joint[0] < 8
+    assert 0 <= joint[1] < 10
 
 
 def test_explore_resamples_whole_joint_until_valid():
@@ -64,51 +64,57 @@ def test_explore_gives_up_after_cap():
 def test_exploit_valid_proposal_needs_single_validation():
     validator = CountingValidator([True])
     q = [np.array([5.0, 1.0]), np.array([7.0, 2.0])]
-    joint = exploit_joint(validator, q, [[1], [1]], np.random.default_rng(0))
-    assert [a.index for a in joint.actions] == [0, 0]
+    joint = exploit_joint(validator, q, np.zeros((2, 1)), np.random.default_rng(0))
+    assert joint == (0, 0) and all(type(a) is int for a in joint)
     assert len(validator.queries) == 1
 
 
 def test_exploit_demotes_random_agents_current_maximum():
     validator = CountingValidator([False, True])
     q = [np.array([5.0, 1.0]), np.array([7.0, 2.0])]
-    joint = exploit_joint(validator, q, [[1], [1]], ScriptedRng([0]))
+    joint = exploit_joint(validator, q, np.zeros((2, 1)), ScriptedRng([0]))
     # Agent 0's 5.0 was pinned to -inf; agent 1 keeps its argmax.
-    assert [a.index for a in joint.actions] == [1, 0]
+    assert joint == (1, 0)
     assert q[0][0] == 5.0  # caller's vectors are untouched
 
 
 def test_exploit_demotion_state_does_not_leak_between_calls():
     q = [np.array([5.0, 1.0]), np.array([7.0, 2.0])]
-    first = exploit_joint(CountingValidator([False, True]), q, [[1], [1]], ScriptedRng([0]))
-    second = exploit_joint(CountingValidator([True]), q, [[1], [1]], ScriptedRng([]))
-    assert [a.index for a in second.actions] == [0, 0]
-    assert [a.index for a in first.actions] == [1, 0]
+    rows = np.zeros((2, 1))
+    first = exploit_joint(CountingValidator([False, True]), q, rows, ScriptedRng([0]))
+    second = exploit_joint(CountingValidator([True]), q, rows, ScriptedRng([]))
+    assert second == (0, 0)
+    assert first == (1, 0)
 
 
 def test_exploit_exhaustion_falls_back_to_best_original_noop():
     # Agent 0 keeps proposing invalid actions until its whole set is demoted;
     # the fallback pins it to the open no-op with the highest original value.
+    # Both of agent 0's breakers read open, so toggles 1 and 3 are no-ops.
     verdicts = [False, False, False, False, True]
     validator = CountingValidator(verdicts)
     q = [np.array([9.0, 0.5, 4.0, 2.0]), np.array([1.0, 0.0])]
-    joint = exploit_joint(validator, q, [[1, 3], [1]], ScriptedRng([0, 0, 0, 0]))
-    assert joint.actions[0].index == 3  # original 2.0 beats 0.5 among no-ops
-    assert joint.actions[1].index == 0
+    rows = np.array([[0, 0], [0, 0]], dtype=np.int8)
+    joint = exploit_joint(validator, q, rows, ScriptedRng([0, 0, 0, 0]))
+    assert joint == (3, 0)  # original 2.0 beats 0.5 among no-ops
+    # With breaker 1 closed only toggle 1 is a no-op; a padded column is ignored.
+    rows = np.array([[0, 1, 0], [0, 0, 0]], dtype=np.int8)
+    joint = exploit_joint(CountingValidator(verdicts), q, rows, ScriptedRng([0, 0, 0, 0]))
+    assert joint == (1, 0)
 
 
 def test_exploit_raises_when_nothing_is_ever_valid():
     q = [np.array([1.0, 0.0])]
     validator = CountingValidator([False] * 50)
     with pytest.raises(MaskingError):
-        exploit_joint(validator, q, [[1]], ScriptedRng([0] * 10))
+        exploit_joint(validator, q, np.zeros((1, 1)), ScriptedRng([0] * 10))
 
 
 def test_exploit_termination_within_action_budget():
     q = [np.array([3.0, 2.0, 1.0, 0.5]), np.array([4.0, 3.0, 2.0, 1.0])]
     validator = CountingValidator([False] * 7 + [True])
     rng = np.random.default_rng(5)
-    joint = exploit_joint(validator, q, [[1, 3], [1, 3]], rng)
+    joint = exploit_joint(validator, q, np.zeros((2, 2)), rng)
     assert len(validator.queries) <= sum(len(v) for v in q) + len(q) + 1
     assert joint is not None
 
@@ -155,7 +161,7 @@ def test_explore_on_zero_capacity_feeder_finds_open_toggles():
     rng = np.random.default_rng(6)
     for _ in range(10):
         joint = explore_joint(env.validate_joint, env.action_space_sizes(), rng)
-        assert all(action.index % 2 == 1 for action in joint.actions)
+        assert all(a % 2 == 1 for a in joint)
 
 
 def test_exploit_on_real_environment_respects_constraints(ieee13):
@@ -165,9 +171,9 @@ def test_exploit_on_real_environment_respects_constraints(ieee13):
     # Q-vectors that greedily push every close at once (invalid jointly).
     q = [np.linspace(1.0, 0.1, 8) * np.tile([1.0, 0.01], 4),
          np.linspace(1.0, 0.1, 10) * np.tile([1.0, 0.01], 5)]
+    rows = env.reset()
     for _ in range(6):
-        noops = [env.noop_open_actions(a) for a in range(2)]
-        joint = exploit_joint(env.validate_joint, q, noops, rng)
+        joint = exploit_joint(env.validate_joint, q, rows, rng)
         assert env.validate_joint(joint)
-        env.step(joint)
+        rows = env.step(joint).observations
     assert env.violation_count == 0
