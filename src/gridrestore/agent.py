@@ -50,6 +50,13 @@ class Hyperparameters:
             raise ValueError("eta must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.capacity < 1:
+            raise ValueError("capacity must be at least 1")
+        if self.batch_size > self.capacity:
+            raise ValueError(
+                f"batch_size {self.batch_size} exceeds the replay capacity "
+                f"{self.capacity}, so no batch could ever be drawn"
+            )
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,9 @@ class RestorationEnv:
         # Feasibility memo keyed by (island, page); verdicts are pure
         # functions of the sub-state, so memoization cannot change behavior.
         self._feas_cache: dict[tuple[int, int], list[tuple[bool, float, float]]] = {}
+        # (joint, candidate states, verdict) of the last validate_joint since
+        # the state last changed; a step of that joint reuses them.
+        self._validated: tuple | None = None
         if reward_mode == "masked":
             for k, (_, sub) in enumerate(self._islands):
                 if not self._page(k, 0)[0][0]:  # row 0 of page 0: the island all open
@@ -131,6 +134,7 @@ class RestorationEnv:
         returns the observation rows."""
         self._states[:] = 0
         self.step_count = 0
+        self._validated = None
         return self._states[self._slots].astype(np.int8)
 
     def _candidate_states(self, actions) -> np.ndarray:
@@ -170,18 +174,26 @@ class RestorationEnv:
     def validate_joint(self, actions) -> bool:
         """Would this joint action keep every constraint satisfied?
 
-        Shadow evaluation on a copy; the live state is never touched.
+        Shadow evaluation on a copy; the live state is never touched. The
+        verdict is kept, so stepping this joint next does not evaluate it again.
         """
-        ok, _, _ = self._feasibility(self._candidate_states(actions)[:-1])
-        return ok
+        joint = tuple(actions)
+        nxt = self._candidate_states(joint)
+        verdict = self._feasibility(nxt[:-1])
+        self._validated = (joint, nxt, verdict)
+        return verdict[0]
 
     def step(self, actions) -> StepResult:
         if self.step_count >= self.max_steps:
             raise EpisodeExhausted(
                 f"episode already ran {self.max_steps} steps; reset() first"
             )
-        nxt = self._candidate_states(actions)
-        ok, served, weighted = self._feasibility(nxt[:-1])
+        last, self._validated = self._validated, None
+        if last is not None and last[0] == tuple(actions):
+            _, nxt, (ok, served, weighted) = last
+        else:
+            nxt = self._candidate_states(actions)
+            ok, served, weighted = self._feasibility(nxt[:-1])
         if self.reward_mode == "masked" and not ok:
             raise InvalidJointAction(
                 "masked-mode step received a constraint-violating joint action"

@@ -156,8 +156,9 @@ class _NetworkIndex:
         for bi, brk in enumerate(feeder.breakers):
             self.breaker_line[bi, line_pos[brk.line_id]] = 1.0
         self.load_bus = np.array([bus_pos[ld.bus_id] for ld in feeder.loads], dtype=np.intp)
-        self.load_p_kw = np.array([ld.p_rated for ld in feeder.loads])
-        self.load_weighted_kw = self.load_p_kw * np.array([ld.weight for ld in feeder.loads])
+        load_p = np.array([ld.p_rated for ld in feeder.loads], dtype=float)
+        # (loads, 2): rated kW and weighted kW of each load
+        self.load_kw = np.stack([load_p, load_p * np.array([ld.weight for ld in feeder.loads])], 1)
         self.load_s = np.array([complex(ld.p_rated, ld.q_rated) / self.s_base for ld in feeder.loads])
         self.load_at_bus = np.zeros((len(feeder.loads), self.n_buses), dtype=complex)
         self.load_at_bus[np.arange(len(feeder.loads)), self.load_bus] = 1.0
@@ -286,11 +287,26 @@ def _reach(idx: _NetworkIndex, closed: np.ndarray):
 
 
 def _served_power(idx: _NetworkIndex, served: np.ndarray):
-    """(served kW, weighted kW) per row of a load mask, summed as one solve does."""
-    return (
-        np.array([idx.load_p_kw[m].sum() for m in served]),
-        np.array([idx.load_weighted_kw[m].sum() for m in served]),
-    )
+    """(served kW, weighted kW) per row of a (rows, loads) served mask.
+
+    Bit-identical to ``kw[mask].sum()`` row by row, in a few array calls.
+    Each row's served kW and weighted kW are packed, in load order, to the
+    left of zeroed rows, and the rows that serve exactly c loads are summed
+    together as contiguous (k, 2, c) blocks. A contiguous row sum adds
+    in the same order as a 1-D sum of the same c values; zero padding to a
+    common width would not, since numpy's pairwise summation groups values
+    by position once a row holds 8 or more.
+    """
+    count = served.sum(axis=1)
+    r, col = np.nonzero(served)  # row-major: each row's loads in load order
+    slot = np.arange(len(r)) - (np.cumsum(count) - count)[r]
+    packed = np.zeros((len(served), 2, served.shape[1]))
+    packed[r, :, slot] = idx.load_kw[col]
+    out = np.zeros((2, len(served)))
+    for c in (np.flatnonzero(np.bincount(count)[1:]) + 1).tolist():
+        rows = count == c
+        out[:, rows] = packed[rows, :, :c].sum(axis=2).T
+    return out[0], out[1]
 
 
 def _restored(feeder: Feeder, states):

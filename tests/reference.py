@@ -194,6 +194,26 @@ def joined_islands(rng, tree_of=random_radial_feeder):
     )
 
 
+def served_loads(feeder: Feeder, states) -> list[bool]:
+    """Per load: is its bus joined to a generator through conducting lines?
+
+    A plain union-find over the lines whose breakers are all closed.
+    """
+    parent = {b.id: b.id for b in feeder.buses}
+
+    def find(b):
+        while parent[b] != b:
+            b = parent[b]
+        return b
+
+    open_lines = {brk.line_id for brk, s in zip(feeder.breakers, states) if not s}
+    for ln in feeder.lines:
+        if ln.id not in open_lines:
+            parent[find(ln.from_bus)] = find(ln.to_bus)
+    fed = {find(g.bus_id) for g in feeder.generators}
+    return [find(ld.bus_id) in fed for ld in feeder.loads]
+
+
 def dense_reference_solve(feeder: Feeder, states, tol: float = 1e-8, max_iter: int = 300):
     """Implicit Z-bus Gauss power flow (dense linear algebra, no tree sweeps).
 

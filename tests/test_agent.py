@@ -385,3 +385,8 @@ def test_hyperparameter_validation():
         Hyperparameters(eta=-1.0)
     with pytest.raises(ValueError):
         Hyperparameters(batch_size=0)
+    with pytest.raises(ValueError, match="capacity"):
+        Hyperparameters(capacity=0)
+    with pytest.raises(ValueError, match="batch_size 33 exceeds the replay capacity 32"):
+        Hyperparameters(batch_size=33, capacity=32)
+    assert Hyperparameters(batch_size=32, capacity=32).capacity == 32

@@ -36,6 +36,22 @@ def test_train_unknown_feeder_names_it(capsys, tmp_path):
     assert "nosuch" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--hidden", "0"), "hidden layer sizes must be at least 1"),
+    (("--hidden", "64,-3"), "hidden layer sizes must be at least 1"),
+    (("--batch-size", "5000", "--capacity", "10"), "exceeds the replay capacity 10"),
+    (("--capacity", "0"), "capacity must be at least 1"),
+])
+def test_train_rejects_configs_that_cannot_train(capsys, tmp_path, flags, message):
+    out = tmp_path / "r"
+    code, _, err = run(capsys, "train", "--feeder", "ieee13", "--episodes", "2",
+                       "--seed", "1", *flags, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_eval_round_trip(capsys, tmp_path):
     out = tmp_path / "run"
     code, stdout, _ = run(

@@ -309,6 +309,95 @@ def test_a_valid_joint_action_always_exists(ieee13):
             env.step(candidate)
 
 
+def count_evaluations(monkeypatch, env):
+    """Record the candidate states of every verdict lookup ``env`` makes."""
+    calls = []
+    inner = env._feasibility
+
+    def counting(states):
+        calls.append(tuple(states.tolist()))
+        return inner(states)
+
+    monkeypatch.setattr(env, "_feasibility", counting)
+    return calls
+
+
+def test_step_reuses_the_verdict_of_the_joint_just_validated(monkeypatch, env13):
+    calls = count_evaluations(monkeypatch, env13)
+    a = joint(close(2), close(0))
+    assert env13.validate_joint(list(a))
+    result = env13.step(a)
+    assert len(calls) == 1  # the step took the validated verdict
+    assert (result.served_kw, result.constraints_ok) == (570.0, True)
+    assert env13.breaker_states == (0, 0, 1, 0, 1, 0, 0, 0, 0)
+    assert result.observations.tolist() == [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0]]
+    # The verdict is dropped after a step: the same joint again is evaluated.
+    env13.step(a)
+    assert len(calls) == 2
+
+
+def test_step_evaluates_a_joint_other_than_the_validated_one(monkeypatch, env13):
+    calls = count_evaluations(monkeypatch, env13)
+    a, b = joint(close(2), close(0)), joint(close(1), 1)
+    assert env13.validate_joint(a)
+    result = env13.step(b)
+    assert calls == [(0, 0, 1, 0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0)]
+    assert env13.breaker_states == calls[-1]
+    assert result.served_kw == 170.0
+
+
+def test_reset_drops_the_validated_verdict(monkeypatch, env13):
+    calls = count_evaluations(monkeypatch, env13)
+    env13.step(joint(close(2), 1))
+    a = joint(close(1), 1)
+    assert env13.validate_joint(a)  # from a state with breaker 2 closed
+    env13.reset()
+    result = env13.step(a)
+    assert len(calls) == 3
+    assert env13.breaker_states == (0, 1, 0, 0, 0, 0, 0, 0, 0)
+    assert result.served_kw == 170.0
+
+
+def test_validated_invalid_joint_still_raises_in_masked_mode(monkeypatch, ieee13):
+    env = RestorationEnv(ieee13)
+    env.reset()
+    env.step(joint(close(0), close(0)))
+    env.step(joint(close(1), close(1)))
+    calls = count_evaluations(monkeypatch, env)
+    bad = joint(close(2), close(2))
+    assert env.validate_joint(bad) is False
+    with pytest.raises(InvalidJointAction):
+        env.step(bad)
+    assert len(calls) == 1
+    assert env.breaker_states[2] == 0
+
+
+@pytest.mark.parametrize("name", ["ieee13", "joined"])
+def test_penalty_steps_are_the_same_with_and_without_validation(monkeypatch, request, name):
+    # Penalty mode, invalid joints included: validating before a step (as
+    # masked selection does) never changes what the step returns, and a
+    # step without one evaluates its joint once, as ``execute`` steps.
+    feeder = (request.getfixturevalue(name) if name != "joined"
+              else joined_islands(np.random.default_rng(8)))
+    plain = RestorationEnv(feeder, reward_mode="penalty", max_steps=80)
+    checked = RestorationEnv(feeder, reward_mode="penalty", max_steps=80)
+    calls = count_evaluations(monkeypatch, plain)
+    rng = np.random.default_rng(4)
+    sizes = plain.action_space_sizes()
+    plain.reset(), checked.reset()
+    for step in range(80):
+        a = joint(*(int(rng.integers(n)) for n in sizes))
+        if step % 3:
+            checked.validate_joint(joint(*(int(rng.integers(n)) for n in sizes)))
+        checked.validate_joint(a)
+        want, got = plain.step(a), checked.step(a)
+        assert len(calls) == step + 1
+        assert np.array_equal(got.observations, want.observations)
+        assert (got.reward, got.served_kw, got.weighted_kw, got.constraints_ok) == (
+            want.reward, want.served_kw, want.weighted_kw, want.constraints_ok)
+    assert checked.violation_count == plain.violation_count > 0
+
+
 def whole_feeder_verdict(feeder, states):
     solution = solve(feeder, states)
     report = check_constraints(feeder, solution)

@@ -16,8 +16,15 @@ from gridrestore import (
     restored_power,
     solve,
 )
+from gridrestore import powerflow
 from gridrestore.powerflow import solve_batch
-from reference import dense_reference_solve, random_multi_generator_feeder, random_radial_feeder
+from reference import (
+    dense_reference_solve,
+    joined_islands,
+    random_multi_generator_feeder,
+    random_radial_feeder,
+    served_loads,
+)
 
 
 def two_bus(resistance=0.01, reactance=0.0, p_kw=100.0, q_kvar=0.0, p_max=500.0):
@@ -305,3 +312,65 @@ def test_batched_solve_does_not_depend_on_batch_size(ieee123):
         for a, b in zip(part, whole):
             assert np.array_equal(a, b[start:stop])
     assert len(solve_batch(island.feeder, rows[:0]).feasible) == 0
+
+
+def _loads_feeder(p_kw, weights):
+    """A chain a-b0-b1-... with one load per bus; loads need no valid network
+    for the restored-power sums."""
+    n = len(p_kw)
+    buses = (Bus("a"), *(Bus(f"b{i}") for i in range(n)))
+    lines = tuple(Line(f"l{i}", buses[i].id, buses[i + 1].id, 0.001, 0.002, 5000.0)
+                  for i in range(n))
+    return Feeder(
+        name="loads", s_base_kva=1000.0, v_base_kv=4.16, buses=buses, lines=lines,
+        breakers=(), loads=tuple(LoadPoint(f"ld{i}", f"b{i}", float(p), 0.0, float(w), "")
+                                 for i, (p, w) in enumerate(zip(p_kw, weights))),
+        generators=(Generator("g", "a", 0.0, 1e6, 0.0, 1e6),),
+        partition=MicrogridPartition(()),
+    )
+
+
+def _per_row_sums(feeder, served):
+    p = np.array([ld.p_rated for ld in feeder.loads])
+    w = p * np.array([ld.weight for ld in feeder.loads])
+    return (np.array([p[m].sum() for m in served], dtype=float),
+            np.array([w[m].sum() for m in served], dtype=float))
+
+
+def _assert_bits_equal(got, want):
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("n_loads", [0, 1, 7, 8, 9, 16, 23, 40])
+def test_served_power_is_bit_identical_to_per_row_sums(n_loads):
+    # Fractional kW, so summation order shows in the last bit. Every count
+    # from 0 to n_loads occurs, which runs both of numpy's summation paths
+    # (under 8 values and 8 or more).
+    rng = np.random.default_rng(900 + n_loads)
+    feeder = _loads_feeder(rng.uniform(0.1, 500.0, n_loads),
+                           rng.uniform(0.05, 3.0, n_loads))
+    idx = powerflow._network_index(feeder)
+    rows = 40 * (n_loads + 1)
+    keep = np.arange(rows) % (n_loads + 1)  # each row serves a seeded subset of this size
+    served = np.argsort(rng.random((rows, n_loads)), axis=1) < keep[:, None]
+    served[:2] = [[True] * n_loads, [False] * n_loads]  # full and empty rows
+    assert sorted(set(served.sum(axis=1).tolist())) == list(range(n_loads + 1))
+    _assert_bits_equal(powerflow._served_power(idx, served), _per_row_sums(feeder, served))
+    empty = served[:0]
+    _assert_bits_equal(powerflow._served_power(idx, empty), _per_row_sums(feeder, empty))
+
+
+def test_restored_power_sums_match_reference_on_random_feeders():
+    # Every state of seeded random feeders (many fractional-kW loads on some,
+    # weights below 1 on joined ones), each with its served loads found by
+    # the reference's own topology walk.
+    rng = np.random.default_rng(53)
+    feeders = [random_radial_feeder(rng, max_buses=40, max_breakers=8) for _ in range(12)]
+    feeders += [joined_islands(rng) for _ in range(6)]
+    assert max(len(f.loads) for f in feeders) >= 16
+    for feeder in feeders:
+        rows = all_states(feeder.n_breakers)
+        served = np.array([served_loads(feeder, s) for s in rows]).reshape(len(rows), -1)
+        _assert_bits_equal(powerflow._restored(feeder, rows), _per_row_sums(feeder, served))

@@ -59,6 +59,16 @@ def quick_cfg(seed=0, **kw):
     return TrainingConfig(**defaults)
 
 
+@pytest.mark.parametrize("hidden", [(0,), (64, -3), (8, 0, 8)])
+def test_config_rejects_hidden_sizes_below_one(hidden):
+    with pytest.raises(ValueError, match="hidden layer sizes must be at least 1"):
+        TrainingConfig(hidden_sizes=hidden)
+
+
+def test_config_allows_no_hidden_layer():
+    assert TrainingConfig(hidden_sizes=()).hidden_sizes == ()
+
+
 def test_zero_episodes_returns_fresh_models(ieee13):
     models, logs = train(ieee13, quick_cfg(episodes=0))
     assert logs == []
