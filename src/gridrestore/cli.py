@@ -77,18 +77,29 @@ def _resolve_feeder(name_or_path: str) -> Feeder:
         return load_feeder(fh)
 
 
-def _resolved_config(args, defaults: dict) -> dict:
+def _read_config(path) -> dict:
+    """One JSON config file: an object whose keys are all ``TRAIN_DEFAULTS`` keys."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"config file {path}: not valid JSON ({e})") from None
+    if not isinstance(values, dict):
+        raise ValueError(f"config file {path}: the top level must be a JSON object, "
+                         f"not {type(values).__name__}")
+    unknown = set(values) - set(TRAIN_DEFAULTS)
+    if unknown:
+        raise ValueError(f"config file {path}: unknown config keys: {', '.join(sorted(unknown))}")
+    return values
+
+
+def _resolved_config(args) -> dict:
     """defaults <- config file <- explicit flags, in increasing precedence."""
-    resolved = dict(defaults)
+    resolved = dict(TRAIN_DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        unknown = set(file_values) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        resolved.update(file_values)
-    for key in defaults:
+        resolved.update(_read_config(config_path))
+    for key in TRAIN_DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
@@ -160,7 +171,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_train(args) -> int:
-    resolved = _resolved_config(args, TRAIN_DEFAULTS)
+    resolved = _resolved_config(args)
     if args.print_config:
         print(json.dumps(resolved, indent=2, sort_keys=True))
         return 0
@@ -183,7 +194,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    resolved = _resolved_config(args, TRAIN_DEFAULTS)
+    resolved = _resolved_config(args)
     if args.print_config:
         print(json.dumps(resolved, indent=2, sort_keys=True))
         return 0
@@ -227,10 +238,7 @@ def _cmd_compare(args) -> int:
     feeder = _resolve_feeder(args.feeder)
     variants = []
     for path in args.variants:
-        with open(path, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        resolved = dict(TRAIN_DEFAULTS)
-        resolved.update(file_values)
+        resolved = {**TRAIN_DEFAULTS, **_read_config(path)}
         if args.seed is not None:
             resolved["seed"] = args.seed
         variants.append((Path(path).stem, _training_config(resolved)))

@@ -9,13 +9,12 @@ over total rated load). The observations are one ``(agents, widest)`` int8
 array: row i holds agent i's breaker bits in partition order, zero-padded to
 the widest agent, the layout of the learner's replay ring.
 Verdicts are solved and memoized per island (see ``powerflow.islands``): a
-state is feasible when every island's sub-state is. The memo is paged: an
-island's bits, read as an integer (bit j is its j-th breaker), select a page
-of 2^p consecutive sub-states that agree above bit p, and a miss fills the
-whole page with one ``powerflow.solve_batch`` call. 2^p is the largest power
-of two within ``powerflow.batch_rows`` of the island, the oracle's batch
-budget, and p is at most the island's breaker count, so a small island is
-one page.
+state is feasible when every island's sub-state is. An island's bits, read as
+an integer (bit j is its j-th breaker), pick a page of 2^p sub-states (2^p the
+largest power of two within ``powerflow.batch_rows`` of the island, at most
+2^breakers) that ``powerflow.verdict_page`` solves as one batch at its first
+lookup. The pages belong to the feeder object, shared by every environment on
+it and freed with it; so in ``compare`` the first variant pays the page fills.
 
 Two reward modes:
 
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feeder import Feeder
-from .powerflow import batch_rows, islands, solve_batch
+from .powerflow import batch_rows, islands, verdict_page
 
 
 class EpisodeExhausted(RuntimeError):
@@ -99,15 +98,12 @@ class RestorationEnv:
         for k, (positions, sub) in enumerate(self._islands):
             self._place[k, list(positions)] = 1 << np.arange(len(positions))
             self._page_bits.append(min(len(positions), batch_rows(sub).bit_length() - 1))
-        # Feasibility memo keyed by (island, page); verdicts are pure
-        # functions of the sub-state, so memoization cannot change behavior.
-        self._feas_cache: dict[tuple[int, int], list[tuple[bool, float, float]]] = {}
         # (joint, candidate states, verdict) of the last validate_joint since
         # the state last changed; a step of that joint reuses them.
         self._validated: tuple | None = None
         if reward_mode == "masked":
-            for k, (_, sub) in enumerate(self._islands):
-                if not self._page(k, 0)[0][0]:  # row 0 of page 0: the island all open
+            for (_, sub), p in zip(self._islands, self._page_bits):
+                if not verdict_page(sub, p, 0)[0][0]:  # row 0 of page 0: the island all open
                     raise ValueError(
                         f"the island of generators {', '.join(g.id for g in sub.generators)} "
                         "violates a constraint with all breakers open; masked mode needs "
@@ -149,27 +145,14 @@ class RestorationEnv:
             nxt[group[a >> 1]] = 1 - (a & 1)
         return nxt
 
-    def _page(self, k: int, page: int) -> list[tuple[bool, float, float]]:
-        """Island k's memo page, solved in one batch on a miss: (feasible,
-        served kW, weighted kW) of each of its 2^p sub-states, in binary order."""
-        (positions, sub), p = self._islands[k], self._page_bits[k]
-        codes = (page << p) + np.arange(1 << p)
-        v = solve_batch(sub, (codes[:, None] >> np.arange(len(positions))) & 1)
-        rows = list(zip(v.feasible.tolist(), v.served_kw.tolist(), v.weighted_kw.tolist()))
-        self._feas_cache[k, page] = rows
-        return rows
-
     def _feasibility(self, states: np.ndarray) -> tuple[bool, float, float]:
         """The AND of the island verdicts and the sums of their served power."""
         ok, served, weighted = True, 0.0, 0.0
-        for k, (code, p) in enumerate(zip(self._place.dot(states).tolist(), self._page_bits)):
-            page = self._feas_cache.get((k, code >> p)) or self._page(k, code >> p)
-            f, s, w = page[code & ((1 << p) - 1)]
+        for (_, sub), code, p in zip(self._islands, self._place.dot(states).tolist(),
+                                     self._page_bits):
+            f, s, w = verdict_page(sub, p, code >> p)[code & ((1 << p) - 1)]
             ok, served, weighted = ok and f, served + s, weighted + w
         return ok, served, weighted
-
-    def _reward_of(self, weighted_kw: float) -> float:
-        return weighted_kw / self._denominator if self._denominator > 0 else 0.0
 
     def validate_joint(self, actions) -> bool:
         """Would this joint action keep every constraint satisfied?
@@ -199,7 +182,7 @@ class RestorationEnv:
                 "masked-mode step received a constraint-violating joint action"
             )
         if ok:
-            reward = self._reward_of(weighted)
+            reward = weighted / self._denominator if self._denominator > 0 else 0.0
         else:
             self.violation_count += 1
             reward = self.penalty

@@ -176,6 +176,7 @@ class _NetworkIndex:
             self.adjacency[f].append((li, t))
             self.adjacency[t].append((li, f))
         self.islands: tuple[Island, ...] | None = None
+        self.pages: dict[tuple[int, int], list[tuple[bool, float, float]]] = {}
 
     def tree(self, start: int) -> list[tuple[int, int, int]]:
         """(bus, line into it, parent bus) over all lines from ``start``, breadth first."""
@@ -456,6 +457,21 @@ def solve_batch(feeder: Feeder, states) -> BatchVerdicts:
     sw = _sweep(idx, _closed(idx, states))
     served, weighted = _served_power(idx, sw.served)
     return BatchVerdicts(_checks(idx, sw, served)[0], served, weighted, sw.iterations)
+
+
+def verdict_page(feeder: Feeder, p: int, page: int) -> list[tuple[bool, float, float]]:
+    """(feasible, served kW, weighted kW) of states ``(page << p) + i``, i < 2^p,
+    bit j being breaker j. Memoized on the feeder object under (p, page), so
+    every caller on it shares the pages; a miss solves the page as one batch.
+    """
+    pages = _network_index(feeder).pages
+    rows = pages.get((p, page))
+    if rows is None:
+        codes = (page << p) + np.arange(1 << p)
+        v = solve_batch(feeder, (codes[:, None] >> np.arange(len(feeder.breakers))) & 1)
+        rows = pages[p, page] = list(zip(v.feasible.tolist(), v.served_kw.tolist(),
+                                         v.weighted_kw.tolist()))
+    return rows
 
 
 def solve(feeder: Feeder, states) -> PowerFlowSolution:

@@ -280,7 +280,8 @@ def convergence_episode(
 
 
 def compare(feeder: Feeder, variants, execute_steps: int = 16) -> list[dict]:
-    """Train each (label, config) variant and tabulate the outcomes."""
+    """Train each (label, config) variant and tabulate the outcomes. The first
+    variant's ``wall_clock_s`` includes the verdict page fills later ones reuse."""
     rows: list[dict] = []
     for label, cfg in variants:
         start = time.perf_counter()

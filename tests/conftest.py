@@ -28,3 +28,14 @@ def ieee13():
 @pytest.fixture(scope="session")
 def ieee123():
     return builtin_feeder("ieee123")
+
+
+@pytest.fixture
+def fresh_feeder():
+    """``builtin_feeder`` for tests that count solves or page fills.
+
+    The session feeders above carry the verdict pages every earlier test
+    filled, so a count on them would depend on test order. A feeder object
+    built here has no pages, and the test holds its only reference.
+    """
+    return builtin_feeder

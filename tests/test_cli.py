@@ -112,6 +112,43 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert code == 1 and "episodess" in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "top level must be a JSON object, not list"),
+    ('"episodes"', "top level must be a JSON object, not str"),
+    ('{"episodess": 2}', "unknown config keys: episodess"),
+    ('{"episodes": 2,', "not valid JSON"),
+])
+def test_config_file_errors_name_the_file(capsys, tmp_path, command, text, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    extra = ("--checkpoints", str(tmp_path)) if command == "eval" else ()
+    out = tmp_path / "r"
+    code, _, err = run(capsys, command, "--feeder", "ieee13", "--seed", "1",
+                       "--config", str(cfg), *extra, "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"error: config file {cfg}: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "top level must be a JSON object, not list"),
+    ('{"episodez": 3}', "unknown config keys: episodez"),
+])
+def test_compare_rejects_a_bad_variant_file(capsys, tmp_path, text, message):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"episodes": 3, "steps": 4}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "cmp"
+    code, stdout, err = run(capsys, "compare", "--feeder", "ieee13", "--seed", "3",
+                            "--out", str(out), str(good), str(bad))
+    assert code == 1
+    assert err.startswith(f"error: config file {bad}: ") and message in err
+    assert stdout == "" and not out.exists()  # rejected before any variant trains
+
+
 def test_oracle_writes_and_reuses_cache(capsys, tmp_path):
     out = tmp_path / "oracle"
     code, stdout, _ = run(capsys, "oracle", "--feeder", "ieee13", "--out", str(out))

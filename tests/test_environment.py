@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -467,16 +469,115 @@ def test_page_size_does_not_change_verdicts_or_training(monkeypatch, ieee123):
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-def test_masked_env_requires_feasible_all_open(ieee13):
-    g1 = dataclasses.replace(ieee13.generators[0], p_min=50.0)
-    feeder = dataclasses.replace(ieee13, generators=(g1, *ieee13.generators[1:]))
+def count_page_fills(monkeypatch):
+    """Record (feeder, rows) of every ``solve_batch`` call a page fill makes."""
+    fills = []
+    inner = powerflow.solve_batch
+
+    def counting(feeder, states):
+        fills.append((feeder, len(states)))
+        return inner(feeder, states)
+
+    monkeypatch.setattr(powerflow, "solve_batch", counting)
+    return fills
+
+
+def weight_bytes(models):
+    return [w.tobytes() for pair in models for w in (*pair.main.weights, *pair.main.biases)]
+
+
+@pytest.mark.parametrize("masking", [True, False])
+def test_environments_on_one_feeder_object_share_its_pages(monkeypatch, fresh_feeder, masking):
+    # A second train, and a second environment, on the feeder object of a
+    # first run fill no page; every run is bit-identical to a run on a
+    # feeder object of its own.
+    cfg = TrainingConfig(episodes=8, masking=masking, hyper=Hyperparameters(seed=3, gamma=0.95),
+                         schedule=EpsilonSchedule(decay=0.004))
+    feeder = fresh_feeder("ieee123")
+    fills = count_page_fills(monkeypatch)
+    models, logs = train(feeder, cfg)
+    assert fills
+    first = (logs, weight_bytes(models))
+    fills.clear()
+    models, logs = train(feeder, cfg)
+    assert fills == []
+    assert (logs, weight_bytes(models)) == first
+    mode = "masked" if masking else "penalty"
+    states = np.random.default_rng(5).integers(0, 2, (100, 26)).astype(np.int8)
+    first_env = RestorationEnv(feeder, reward_mode=mode)
+    visited = [first_env._feasibility(s) for s in states]
+    fills.clear()
+    env = RestorationEnv(feeder, reward_mode=mode)
+    assert [env._feasibility(s) for s in states] == visited
+    assert fills == []
+    models, logs = train(fresh_feeder("ieee123"), cfg)
+    assert (logs, weight_bytes(models)) == first
+    if masking:
+        assert sum(log.violations for log in logs) == 0
+
+
+def test_masked_env_requires_feasible_all_open(monkeypatch, fresh_feeder):
+    # The replaced feeder is another object: it fills its own pages, although
+    # the base feeder object holds every page of the same geometry.
+    base = fresh_feeder("ieee13")
+    all_states = [np.array(bits, dtype=np.int8) for bits in itertools.product((0, 1), repeat=9)]
+    env = RestorationEnv(base)
+    warm = [env._feasibility(s) for s in all_states]
+    g1 = dataclasses.replace(base.generators[0], p_min=50.0)
+    feeder = dataclasses.replace(base, generators=(g1, *base.generators[1:]))
+    fills = count_page_fills(monkeypatch)
     with pytest.raises(ValueError, match="g1"):
         RestorationEnv(feeder)
     env = RestorationEnv(feeder, reward_mode="penalty")
+    verdicts = [env._feasibility(s) for s in all_states]
+    assert fills and {id(f) for f, _ in fills} <= {id(i.feeder) for i in islands(feeder)}
+    assert verdicts == [whole_feeder_verdict(feeder, s) for s in all_states] != warm
+    fills.clear()
+    RestorationEnv(base)
+    assert fills == []  # base's pages are untouched and still feasible all open
     env.reset()
     result = env.step(NOOP13)
     assert not result.constraints_ok
     assert env.violation_count == 1
+
+
+def test_pages_of_different_sizes_never_mix(monkeypatch, fresh_feeder):
+    # Island pages of 64/32/8/8/32 rows, 4/8/8/8/8 rows and 1 row on one
+    # feeder object: each size fills pages of its own, and islands whose
+    # size is unchanged (3 bits under both of the first two) read the pages
+    # already filled.
+    feeder = fresh_feeder("ieee123")
+    states = np.random.default_rng(61).integers(0, 2, (300, 26)).astype(np.int8)
+    fills = count_page_fills(monkeypatch)
+    outcomes = []
+    for cells, refilled in ((DEFAULT_CELLS, {0, 1, 2, 3, 4}), (7 * 45, {0, 1, 4}),
+                            (1, {0, 1, 2, 3, 4})):
+        monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
+        fills.clear()
+        env = RestorationEnv(feeder)
+        outcomes.append([env._feasibility(s) for s in states])
+        rows = {id(sub): 1 << p for (_, sub), p in zip(env._islands, env._page_bits)}
+        assert all(n == rows[id(f)] for f, n in fills)
+        filled = {k for k, (_, sub) in enumerate(env._islands) if any(f is sub for f, _ in fills)}
+        assert filled == refilled
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    for _, sub in islands(feeder):
+        pages = powerflow._network_index(sub).pages
+        assert all(len(rows) == 1 << p for (p, _), rows in pages.items())
+
+
+def test_the_memo_goes_with_its_feeder(fresh_feeder):
+    feeder = fresh_feeder("ieee13")
+    env = RestorationEnv(feeder)
+    assert env.validate_joint(joint(close(0), close(0)))
+    keys = {id(feeder), *(id(island.feeder) for island in islands(feeder))}
+    assert keys <= set(powerflow._INDEXES)
+    assert all(powerflow._INDEXES[id(island.feeder)].pages for island in islands(feeder))
+    gone = weakref.ref(feeder)
+    del env, feeder
+    gc.collect()
+    assert gone() is None
+    assert not keys & set(powerflow._INDEXES)
 
 
 def test_generator_only_island_counts_in_every_verdict():
