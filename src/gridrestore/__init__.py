@@ -8,14 +8,12 @@ and validates learned policies against a brute-force oracle.
 from .agent import (
     AgentPair,
     EpsilonSchedule,
-    Experience,
     Hyperparameters,
     QNetwork,
     StackedLearner,
     UnderfilledBuffer,
     load_checkpoint,
     save_checkpoint,
-    train_step,
 )
 from .builtins import BUILTIN_NAMES, builtin_feeder
 from .environment import (

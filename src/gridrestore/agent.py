@@ -11,10 +11,11 @@ blended label
 
 with labels held constant for the gradient step (plain SGD on the mean squared
 error at the taken actions only). Keeping the optimizer to bare SGD makes the
-gradient exactly checkable against central finite differences. ``train_step``
-is the per-agent reference of one such step; training runs ``StackedLearner``,
-which steps every agent at once on zero-padded parameter stacks, fed from one
-replay ring that stores observation bits as int8.
+gradient exactly checkable against central finite differences.
+``StackedLearner`` keeps every agent's main and target network in one
+parameter buffer and steps all agents at once on zero-padded layer views of
+it, fed from one replay ring that stores observation bits as int8. The tests
+check it against the unpadded per-agent step in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -121,41 +122,6 @@ class QNetwork:
             x = np.maximum(w @ x + b, 0.0)
         return self.weights[-1] @ x + self.biases[-1]
 
-    def forward_batch(self, x: np.ndarray):
-        """Batched forward pass; returns (output, activation cache)."""
-        if x.ndim != 2 or x.shape[1] != self.n_inputs:
-            raise ValueError("batch shape must be (n, n_inputs)")
-        pre: list[np.ndarray] = []
-        post: list[np.ndarray] = [x]
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = h @ w.T + b
-            h = np.maximum(z, 0.0)
-            pre.append(z)
-            post.append(h)
-        out = h @ self.weights[-1].T + self.biases[-1]
-        return out, (pre, post)
-
-    def backward(self, cache, d_out: np.ndarray):
-        """Gradients of a scalar loss given d(loss)/d(output)."""
-        pre, post = cache
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        delta = d_out
-        grads_w[-1] = delta.T @ post[-1]
-        grads_b[-1] = delta.sum(axis=0)
-        for layer in range(len(self.weights) - 2, -1, -1):
-            delta = (delta @ self.weights[layer + 1]) * (pre[layer] > 0.0)
-            grads_w[layer] = delta.T @ post[layer]
-            grads_b[layer] = delta.sum(axis=0)
-        return grads_w, grads_b
-
-    def apply_gradients(self, grads_w, grads_b, eta: float):
-        for w, gw in zip(self.weights, grads_w):
-            w -= eta * gw
-        for b, gb in zip(self.biases, grads_b):
-            b -= eta * gb
-
 
 @dataclass
 class AgentPair:
@@ -169,38 +135,30 @@ class AgentPair:
         main = QNetwork.initialized(layer_sizes, rng)
         return cls(main=main, target=main.copy())
 
-    def sync_target(self) -> None:
-        """Copy main parameters into the target network (bit-equal)."""
-        self.target = self.main.copy()
-
-
-@dataclass(frozen=True)
-class Experience:
-    observation: tuple[int, ...]
-    action: int
-    reward: float
-    next_observation: tuple[int, ...]
-
 
 class StackedLearner:
-    """Every agent's networks and replay in zero-padded stacks.
+    """Every agent's networks in one parameter buffer, and one replay ring.
 
-    Layer l of all networks is one ``(2 * agents, out, in)`` weight array and
-    one ``(2 * agents, out)`` bias array, zero-padded to the widest agent:
-    entry a is agent a's main network, entry agents + a its target. ``pairs``
-    are ``AgentPair`` views into the stacks. Replay is one preallocated ring
-    with a single write index, evicting oldest-first: slot k of ``bits[0]``
-    and ``bits[1]`` (int8, ``(agents, capacity, width)``) holds a step's
-    observations and next observations, ``actions`` and ``rewards`` its
-    actions and shared reward.
+    ``params`` is one ``(2, P)`` float64 buffer: row 0 holds every agent's
+    main network and row 1 every target, laid out alike. Layer l is a
+    ``(2, agents, out, in)`` view ``weights[l]`` and a ``(2, agents, 1, out)``
+    view ``biases[l]`` of it, zero-padded to the widest agent. ``pairs`` are
+    unpadded ``AgentPair`` views into ``params``. ``grads`` is one ``(P,)``
+    buffer laid out like a row of ``params``: ``gradients`` fills it, and
+    ``train_step`` leaves it scaled by the step size.
 
-    ``train_step`` is the per-agent ``train_step`` for all agents in one set
-    of batched array calls. Padded weights get exactly zero gradient, and
-    padded outputs are set to -inf before the next-state max. Padding adds
-    zero terms to the sums over the input width, which OpenBLAS 0.3.31 keeps
-    bit-exact on the study feeders' widths for batches of 2 or more rows; a
-    one-row batch goes to a matrix-vector kernel that may sum a padded row in
-    another order, so there it agrees to rounding.
+    Replay is one preallocated ring with a single write index, evicting
+    oldest-first: slot k of ``bits[0]`` and ``bits[1]`` (int8,
+    ``(agents, capacity, width)``) holds a step's observations and next
+    observations, ``actions`` and ``rewards`` its actions and shared reward.
+
+    ``gradients`` runs every agent's forward and backward pass in one set of
+    batched array calls. Padded weights get exactly zero gradient, and padded
+    outputs are set to -inf before the next-state max. Padding adds zero terms
+    to the sums over the input width, which OpenBLAS 0.3.31 keeps bit-exact on
+    the study feeders' widths for batches of 2 or more rows; a one-row batch
+    goes to a matrix-vector kernel that may sum a padded row in another order,
+    so there it agrees to rounding with the unpadded per-agent step.
     """
 
     def __init__(self, pairs: list[AgentPair], capacity: int):
@@ -208,9 +166,16 @@ class StackedLearner:
             raise ValueError("capacity must be positive")
         sizes = np.array([p.main.layer_sizes for p in pairs])
         agents, widest = len(pairs), sizes.max(axis=0)
-        self.weights = [np.zeros((2 * agents, o, i)) for i, o in zip(widest, widest[1:])]
-        self.biases = [np.zeros(w.shape[:2]) for w in self.weights]
-        self.pairs = [AgentPair(self._adopt(a, p.main), self._adopt(agents + a, p.target))
+        shapes = [s for i, o in zip(widest, widest[1:]) for s in ((agents, o, i), (agents, 1, o))]
+        bounds = np.cumsum([0] + [np.prod(s) for s in shapes])
+        self.params = np.zeros((2, bounds[-1]))
+        self.grads = np.zeros(bounds[-1])
+        blocks = [(slice(lo, hi), s) for lo, hi, s in zip(bounds, bounds[1:], shapes)]
+        self.weights = [self.params[:, k].reshape(2, *s) for k, s in blocks[0::2]]
+        self.biases = [self.params[:, k].reshape(2, *s) for k, s in blocks[1::2]]
+        self._grad_w = [self.grads[k].reshape(s) for k, s in blocks[0::2]]
+        self._grad_b = [self.grads[k].reshape(s) for k, s in blocks[1::2]]
+        self.pairs = [AgentPair(self._adopt(0, a, p.main), self._adopt(1, a, p.target))
                       for a, p in enumerate(pairs)]
         self._padded = (np.arange(widest[-1]) >= sizes[:, -1:])[:, None, :]
         # Slots past ``size`` are never read, so the ring starts uninitialized.
@@ -220,14 +185,14 @@ class StackedLearner:
         self._offsets = np.arange(agents)[:, None] * capacity  # agent a's ring in the flat ring
         self.size = self._write = 0  # steps stored, next slot to write
 
-    def _adopt(self, entry: int, net: QNetwork) -> QNetwork:
-        """Copy ``net`` into stack entry ``entry``; returns its view there."""
-        params = net.weights + net.biases
-        views = [stack[(entry, *map(slice, p.shape))]
-                 for stack, p in zip(self.weights + self.biases, params)]
-        for view, p in zip(views, params):
-            view[...] = p
-        return QNetwork(views[: len(net.weights)], views[len(net.weights):])
+    def _adopt(self, row: int, agent: int, net: QNetwork) -> QNetwork:
+        """Copy ``net`` into ``params[row]`` as agent ``agent``'s network; returns its view there."""
+        view = QNetwork([w[row, agent, : p.shape[0], : p.shape[1]]
+                         for w, p in zip(self.weights, net.weights)],
+                        [b[row, agent, 0, : p.shape[0]] for b, p in zip(self.biases, net.biases)])
+        for dst, src in zip(view.weights + view.biases, net.weights + net.biases):
+            dst[...] = src
+        return view
 
     def push(self, observations, actions, reward: float, next_observations) -> None:
         """Store one step: (agents, width) bits before and after, one action per agent."""
@@ -256,67 +221,45 @@ class StackedLearner:
 
     def sync_target(self) -> None:
         """Copy every main network into its target (bit-equal)."""
-        for stack in self.weights + self.biases:
-            stack[len(self.pairs):] = stack[: len(self.pairs)]
+        self.params[1] = self.params[0]
 
-    def train_step(self, observations, actions, rewards, hp: Hyperparameters) -> None:
-        """One SGD step of every agent on a batch shaped like ``sample``'s."""
+    def gradients(self, observations, actions, rewards, hp: Hyperparameters) -> np.ndarray:
+        """Fill ``grads`` with every main network's gradient on a batch shaped
+        like ``sample``'s; returns each agent's mean squared residual."""
         agents, n = actions.shape
-        # In-place bias, ReLU and scaling keep the step's temporaries small;
-        # ReLU outputs stand in for pre-activations, as relu(z) > 0 iff z > 0.
-        post = [observations]
+        # In-place bias and ReLU keep the step's temporaries small; ReLU
+        # outputs stand in for pre-activations, as relu(z) > 0 iff z > 0.
+        post = [observations.reshape(2, agents, n, -1)]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            post.append(post[-1] @ w.transpose(0, 2, 1))
-            post[-1] += b[:, None, :]
+            post.append(post[-1] @ w.transpose(0, 1, 3, 2))
+            post[-1] += b
             np.maximum(post[-1], 0.0, out=post[-1])
-        q = post[-1] @ self.weights[-1].transpose(0, 2, 1)
-        q += self.biases[-1][:, None, :]
-        q_all, q_next = q[:agents], q[agents:]
+        q = post[-1] @ self.weights[-1].transpose(0, 1, 3, 2)
+        q += self.biases[-1]
+        q_all, q_next = q
         np.copyto(q_next, -np.inf, where=self._padded)
         bootstrapped = rewards + hp.gamma * q_next.max(axis=2)
-        taken = (np.arange(agents * n).reshape(agents, n) * q.shape[2] + actions).ravel()
+        taken = (np.arange(0, q_all.size, q.shape[3]).reshape(agents, n) + actions).ravel()
         q_taken = q_all.take(taken).reshape(agents, n)
         labels = (1.0 - hp.alpha) * q_taken + hp.alpha * bootstrapped
         residual = q_taken - labels
         delta = np.zeros_like(q_all)
         delta.put(taken, 2.0 * residual / n)
         for layer in range(len(self.weights) - 1, -1, -1):
-            inputs = post.pop()[:agents]  # freed as the step goes down the layers
-            grad_w = delta.transpose(0, 2, 1) @ inputs
-            grad_b = delta.sum(axis=1)
+            inputs = post.pop()[0]  # freed as the pass goes down the layers
+            np.matmul(delta.transpose(0, 2, 1), inputs, out=self._grad_w[layer])
+            delta.sum(axis=1, keepdims=True, out=self._grad_b[layer])
             if layer:
-                delta = delta @ self.weights[layer][:agents]
+                delta = delta @ self.weights[layer][0]
                 delta *= inputs > 0.0
-            grad_w *= hp.eta
-            grad_b *= hp.eta
-            self.weights[layer][:agents] -= grad_w
-            self.biases[layer][:agents] -= grad_b
+        return np.square(residual).sum(axis=1) / n
 
-
-def train_step(pair: AgentPair, batch: list[Experience], hp: Hyperparameters) -> float:
-    """One SGD step of the blended-label regression; returns the batch loss."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    n = len(batch)
-    obs = np.array([e.observation for e in batch], dtype=float)
-    nxt = np.array([e.next_observation for e in batch], dtype=float)
-    actions = np.array([e.action for e in batch], dtype=np.intp)
-    rewards = np.array([e.reward for e in batch], dtype=float)
-
-    q_all, cache = pair.main.forward_batch(obs)
-    q_next, _ = pair.target.forward_batch(nxt)
-    bootstrapped = rewards + hp.gamma * q_next.max(axis=1)
-    q_taken = q_all[np.arange(n), actions]
-    labels = (1.0 - hp.alpha) * q_taken + hp.alpha * bootstrapped
-
-    # Loss touches only the taken actions; every other output's label is its
-    # own current prediction, so its error term is identically zero.
-    residual = q_taken - labels
-    d_out = np.zeros_like(q_all)
-    d_out[np.arange(n), actions] = 2.0 * residual / n
-    grads_w, grads_b = pair.main.backward(cache, d_out)
-    pair.main.apply_gradients(grads_w, grads_b, hp.eta)
-    return float(np.mean(residual**2))
+    def train_step(self, observations, actions, rewards, hp: Hyperparameters) -> np.ndarray:
+        """One SGD step of every agent; returns ``gradients``' per-agent loss."""
+        loss = self.gradients(observations, actions, rewards, hp)
+        self.grads *= hp.eta
+        self.params[0] -= self.grads
+        return loss
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -338,20 +281,31 @@ def save_checkpoint(path, agent_id: int, breaker_ids, net: QNetwork) -> None:
 
 
 def load_checkpoint(path) -> tuple[int, list[str], QNetwork]:
+    """Read a ``save_checkpoint`` file; a malformed one raises a ``ValueError`` naming it."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"checkpoint {path}: not valid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {path}: the top level must be a JSON object, "
+                         f"not {type(doc).__name__}")
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint version in {path}")
-    net = QNetwork(
-        [np.array(w, dtype=float) for w in doc["weights"]],
-        [np.array(b, dtype=float) for b in doc["biases"]],
-    )
-    expected = [w.shape for w in net.weights]
-    declared = [
-        (b, a) for a, b in zip(doc["layer_sizes"][:-1], doc["layer_sizes"][1:])
-    ]
-    if expected != declared:
+    kinds = {"agent": int, "breakers": list, "layer_sizes": list, "weights": list, "biases": list}
+    wrong = [key for key, kind in kinds.items() if type(doc.get(key)) is not kind]
+    if wrong:
+        raise ValueError(f"checkpoint {path}: missing or mistyped {', '.join(wrong)}")
+    try:
+        net = QNetwork([np.array(w, dtype=float) for w in doc["weights"]],
+                       [np.array(b, dtype=float) for b in doc["biases"]])
+    except (TypeError, ValueError) as e:  # ragged or non-numeric entries
+        raise ValueError(f"checkpoint {path}: {e}") from None
+    sizes = doc["layer_sizes"]
+    declared = [(o, i) for i, o in zip(sizes, sizes[1:])]
+    shapes = [a.shape for a in (*net.weights, *net.biases)]
+    if not declared or shapes != declared + [(o,) for o, _ in declared]:
         raise ValueError(f"checkpoint {path} architecture mismatch")
     if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
         raise ValueError(f"checkpoint {path} holds non-finite weights or biases")
-    return int(doc["agent"]), [str(b) for b in doc["breakers"]], net
+    return doc["agent"], [str(b) for b in doc["breakers"]], net

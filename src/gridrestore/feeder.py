@@ -116,12 +116,6 @@ class Feeder:
     def n_agents(self) -> int:
         return self.partition.n_agents
 
-    def breaker_index(self, breaker_id: str) -> int:
-        for i, b in enumerate(self.breakers):
-            if b.id == breaker_id:
-                return i
-        raise KeyError(breaker_id)
-
     def agent_breaker_indices(self, agent: int) -> tuple[int, ...]:
         """Global breaker indices owned by an agent, in partition order."""
         by_id = {b.id: i for i, b in enumerate(self.breakers)}

@@ -177,20 +177,24 @@ def save_result(path, feeder: Feeder, result: OracleResult) -> None:
 
 
 def load_result(path, feeder: Feeder | None = None) -> OracleResult | None:
-    """Load a cached oracle result; None if missing or for another feeder."""
+    """Load a cached oracle result; None if missing, malformed or for another feeder."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if feeder is not None and doc.get("feeder_hash") != feeder_hash(feeder):
+    if not isinstance(doc, dict) or (
+            feeder is not None and doc.get("feeder_hash") != feeder_hash(feeder)):
         return None
-    return OracleResult(
-        tuple(int(s) for s in doc["best_states"]),
-        float(doc["best_weighted_kw"]),
-        float(doc["best_served_kw"]),
-        int(doc["feasible_count"]),
-        int(doc["evaluated_count"]),
-        str(doc.get("method", "cached")),
-        int(doc.get("solved_count", doc["evaluated_count"])),
-    )
+    try:
+        return OracleResult(
+            tuple(int(s) for s in doc["best_states"]),
+            float(doc["best_weighted_kw"]),
+            float(doc["best_served_kw"]),
+            int(doc["feasible_count"]),
+            int(doc["evaluated_count"]),
+            str(doc.get("method", "cached")),
+            int(doc.get("solved_count", doc["evaluated_count"])),
+        )
+    except (KeyError, TypeError, ValueError):  # a field of the wrong type
+        return None

@@ -279,7 +279,7 @@ def convergence_episode(
     return int(hits[0]) if len(hits) else None
 
 
-def compare(feeder: Feeder, variants, execute_steps: int = 16) -> list[dict]:
+def compare(feeder: Feeder, variants) -> list[dict]:
     """Train each (label, config) variant and tabulate the outcomes. The first
     variant's ``wall_clock_s`` includes the verdict page fills later ones reuse."""
     rows: list[dict] = []
@@ -312,47 +312,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_episodes_csv(path, logs: list[EpisodeLog]) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(EPISODES_HEADER)
-        for log in logs:
-            writer.writerow(
-                [
-                    log.episode,
-                    _fmt(log.reward),
-                    _fmt(log.restored_kw),
-                    log.violations,
-                    _fmt(log.epsilon),
-                    _fmt(log.r_per_step),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
+
+
+def write_episodes_csv(path, logs: list[EpisodeLog]) -> None:
+    _write_csv(path, EPISODES_HEADER, ((log.episode, log.reward, log.restored_kw, log.violations,
+                                        log.epsilon, log.r_per_step) for log in logs))
 
 
 def write_trace_csv(path, trace: RestorationTrace) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for e in trace.entries:
-            writer.writerow(
-                [
-                    e.step,
-                    e.agent,
-                    e.breaker,
-                    e.toggle,
-                    _fmt(e.served_kw),
-                    _fmt(e.reward),
-                    e.violation,
-                ]
-            )
+    _write_csv(path, TRACE_HEADER, ((e.step, e.agent, e.breaker, e.toggle, e.served_kw,
+                                     e.reward, e.violation) for e in trace.entries))
 
 
 def write_comparison_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARISON_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in COMPARISON_HEADER])
+    _write_csv(path, COMPARISON_HEADER, ([row[c] for c in COMPARISON_HEADER] for row in rows))
 
 
 def save_models(out_dir, feeder: Feeder, cfg: TrainingConfig, models) -> list[str]:
@@ -371,24 +349,23 @@ def save_models(out_dir, feeder: Feeder, cfg: TrainingConfig, models) -> list[st
 
 
 def load_models(checkpoint_dir, feeder: Feeder):
-    """Load every checkpoint in a directory; returns (nets, slots)."""
+    """Load every checkpoint in a directory; returns (nets, slots) in agent order."""
     paths = sorted(Path(checkpoint_dir).glob("checkpoint_agent*.json"))
     if not paths:
         raise FileNotFoundError(f"no checkpoint_agent*.json under {checkpoint_dir}")
-    loaded, owner = [], {}
+    index = {b.id: i for i, b in enumerate(feeder.breakers)}
+    loaded = {}
     for path in paths:
         agent, breaker_ids, net = load_checkpoint(path)
-        if agent in owner:
-            raise ValueError(f"checkpoints {owner[agent]} and {path} both hold agent {agent}")
-        owner[agent] = path
-        loaded.append((agent, breaker_ids, net))
-    loaded.sort(key=lambda t: t[0])
-    nets = [net for _, _, net in loaded]
-    slots = [
-        tuple(feeder.breaker_index(bid) for bid in breaker_ids)
-        for _, breaker_ids, net in loaded
-    ]
-    for net, group in zip(nets, slots):
+        if agent in loaded:
+            raise ValueError(f"checkpoints {loaded[agent][0]} and {path} both hold agent {agent}")
+        unknown = [b for b in breaker_ids if b not in index]
+        if unknown:
+            raise ValueError(f"checkpoint {path} names breaker {unknown[0]!r}, "
+                             f"which the feeder does not have")
+        group = tuple(index[b] for b in breaker_ids)
         if net.n_inputs != len(group) or net.n_outputs != 2 * len(group):
-            raise ValueError("checkpoint does not match the feeder's breaker groups")
-    return nets, slots
+            raise ValueError(f"checkpoint {path} does not match the feeder's breaker groups")
+        loaded[agent] = path, net, group
+    ordered = [loaded[a] for a in sorted(loaded)]
+    return [net for _, net, _ in ordered], [group for _, _, group in ordered]

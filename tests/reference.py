@@ -1,18 +1,21 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the package's tree-sweep and enumeration code paths:
-the power-flow reference is a dense Gauss fixed point on the bus admittance
-matrix, and the restoration maximizer is a plain recursive tree search. They
-exist so the production implementations can be checked against independently
-written logic.
+These deliberately avoid the package's tree-sweep, enumeration and stacked
+learning code paths: the power-flow reference is a dense Gauss fixed point on
+the bus admittance matrix, the restoration maximizer is a plain recursive tree
+search, and the learning step is one agent's unpadded forward pass, manual
+backprop and SGD update. They exist so the production implementations can be
+checked against independently written logic.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
+from gridrestore.agent import AgentPair, Hyperparameters, QNetwork, StackedLearner
 from gridrestore.feeder import (
     Breaker,
     Bus,
@@ -362,3 +365,141 @@ def recursive_best(feeder: Feeder):
 
     descend([])
     return best["states"], best["weighted"], best["served"]
+
+
+# -- per-agent learning step -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experience:
+    observation: tuple[int, ...]
+    action: int
+    reward: float
+    next_observation: tuple[int, ...]
+
+
+def forward_batch(net: QNetwork, x: np.ndarray):
+    """Batched forward pass; returns (output, activation cache)."""
+    if x.ndim != 2 or x.shape[1] != net.n_inputs:
+        raise ValueError("batch shape must be (n, n_inputs)")
+    pre: list[np.ndarray] = []
+    post: list[np.ndarray] = [x]
+    h = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = h @ w.T + b
+        h = np.maximum(z, 0.0)
+        pre.append(z)
+        post.append(h)
+    out = h @ net.weights[-1].T + net.biases[-1]
+    return out, (pre, post)
+
+
+def backward(net: QNetwork, cache, d_out: np.ndarray):
+    """Gradients of a scalar loss given d(loss)/d(output)."""
+    pre, post = cache
+    grads_w = [None] * len(net.weights)
+    grads_b = [None] * len(net.biases)
+    delta = d_out
+    grads_w[-1] = delta.T @ post[-1]
+    grads_b[-1] = delta.sum(axis=0)
+    for layer in range(len(net.weights) - 2, -1, -1):
+        delta = (delta @ net.weights[layer + 1]) * (pre[layer] > 0.0)
+        grads_w[layer] = delta.T @ post[layer]
+        grads_b[layer] = delta.sum(axis=0)
+    return grads_w, grads_b
+
+
+def apply_gradients(net: QNetwork, grads_w, grads_b, eta: float) -> None:
+    for w, gw in zip(net.weights, grads_w):
+        w -= eta * gw
+    for b, gb in zip(net.biases, grads_b):
+        b -= eta * gb
+
+
+def sync_target(pair: AgentPair) -> None:
+    """Copy main parameters into the target network (bit-equal)."""
+    pair.target = pair.main.copy()
+
+
+def train_step(pair: AgentPair, batch: list[Experience], hp: Hyperparameters) -> float:
+    """One SGD step of the blended-label regression; returns the batch loss."""
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    n = len(batch)
+    obs = np.array([e.observation for e in batch], dtype=float)
+    nxt = np.array([e.next_observation for e in batch], dtype=float)
+    actions = np.array([e.action for e in batch], dtype=np.intp)
+    rewards = np.array([e.reward for e in batch], dtype=float)
+
+    q_all, cache = forward_batch(pair.main, obs)
+    q_next, _ = forward_batch(pair.target, nxt)
+    bootstrapped = rewards + hp.gamma * q_next.max(axis=1)
+    q_taken = q_all[np.arange(n), actions]
+    labels = (1.0 - hp.alpha) * q_taken + hp.alpha * bootstrapped
+
+    # Loss touches only the taken actions; every other output's label is its
+    # own current prediction, so its error term is identically zero.
+    residual = q_taken - labels
+    d_out = np.zeros_like(q_all)
+    d_out[np.arange(n), actions] = 2.0 * residual / n
+    grads_w, grads_b = backward(pair.main, cache, d_out)
+    apply_gradients(pair.main, grads_w, grads_b, hp.eta)
+    return float(np.mean(residual**2))
+
+
+# -- checking the stacked learner --------------------------------------------------
+
+
+def stacked_batch(batches: list[list[Experience]], width: int):
+    """A ``StackedLearner.sample``-shaped batch of equally long per-agent experience lists."""
+    bits = np.zeros((2, len(batches), len(batches[0]), width))
+    for a, batch in enumerate(batches):
+        for row, e in enumerate(batch):
+            bits[0, a, row, : len(e.observation)] = e.observation
+            bits[1, a, row, : len(e.observation)] = e.next_observation
+    return (bits.reshape(-1, len(batches[0]), width),
+            np.array([[e.action for e in b] for b in batches]),
+            np.array([[e.reward for e in b] for b in batches]))
+
+
+def padded_entries(learner: StackedLearner) -> np.ndarray:
+    """Mask of the entries of a ``params`` row that no agent's network uses."""
+    ones = [AgentPair(*[QNetwork([np.ones_like(w) for w in p.main.weights],
+                                 [np.ones_like(b) for b in p.main.biases])] * 2)
+            for p in learner.pairs]
+    return StackedLearner(ones, capacity=1).params[0] == 0.0
+
+
+def numeric_gradient(learner: StackedLearner, batches: list[list[Experience]],
+                     hp: Hyperparameters, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences in every entry of ``learner.params[0]`` of the
+    sum over agents of each one's mean squared error at the taken actions.
+
+    Labels are held at their values before any perturbation. The loss reads
+    the main networks through ``learner.pairs`` with ``forward_batch``, so an
+    entry that no agent's network uses gets a numeric gradient of exactly 0.
+    """
+    cases = []
+    for pair, batch in zip(learner.pairs, batches):
+        obs = np.array([e.observation for e in batch], dtype=float)
+        nxt = np.array([e.next_observation for e in batch], dtype=float)
+        actions = np.array([e.action for e in batch], dtype=np.intp)
+        rewards = np.array([e.reward for e in batch], dtype=float)
+        rows = np.arange(len(batch))
+        y = rewards + hp.gamma * forward_batch(pair.target, nxt)[0].max(axis=1)
+        q_taken = forward_batch(pair.main, obs)[0][rows, actions]
+        cases.append((pair.main, obs, rows, actions, (1 - hp.alpha) * q_taken + hp.alpha * y))
+
+    def loss() -> float:
+        return sum(float(np.mean((forward_batch(net, obs)[0][rows, actions] - labels) ** 2))
+                   for net, obs, rows, actions, labels in cases)
+
+    main = learner.params[0]
+    numeric = np.empty_like(main)
+    for k, value in enumerate(main.copy()):
+        main[k] = value + h
+        up = loss()
+        main[k] = value - h
+        numeric[k] = (up - loss()) / (2 * h)
+        main[k] = value
+    return numeric

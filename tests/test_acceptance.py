@@ -14,9 +14,9 @@ import pytest
 from gridrestore import (
     AgentPair,
     EpsilonSchedule,
-    Experience,
     Hyperparameters,
     QNetwork,
+    StackedLearner,
     TrainingConfig,
     brute_force,
     builtin_feeder,
@@ -25,7 +25,14 @@ from gridrestore import (
     solve,
     train,
 )
-from reference import dense_reference_solve, random_radial_feeder
+from reference import (
+    Experience,
+    dense_reference_solve,
+    numeric_gradient,
+    padded_entries,
+    random_radial_feeder,
+    stacked_batch,
+)
 
 SEED_PANEL = (0, 1, 2, 5, 6)   # five fixed training seeds for the 13-node runs
 C1_SEED = 2                    # the defaults run checked for the exact optimum
@@ -261,81 +268,46 @@ def test_single_agent_reaches_multi_agent_endpoint(oracle13, single13):
 
 
 def test_criterion_8_learning_core_numerics():
-    # Backprop vs central finite differences on 100 random cases.
+    # The stacked learner's gradient vs central finite differences on 100
+    # random one-agent cases, then on ten stacks of mixed widths, whose padded
+    # entries must get exactly +0.0.
     rng = np.random.default_rng(77)
     hp = Hyperparameters(gamma=0.9, alpha=0.7, seed=0)
     worst = 0.0
-    for _ in range(100):
-        n_in = int(rng.integers(2, 6))
-        n_out = int(rng.integers(2, 7))
-        hidden = int(rng.integers(3, 9))
-        pair = AgentPair.initialized(
-            [n_in, hidden, hidden, n_out],
-            np.random.default_rng(int(rng.integers(1 << 30))),
-        )
-        pair.target = QNetwork.initialized(
-            [n_in, hidden, hidden, n_out],
-            np.random.default_rng(int(rng.integers(1 << 30))),
-        )
-        batch = [
+    padding_ok = True
+    for case in range(110):
+        if case < 100:
+            n_in = int(rng.integers(2, 6))
+            n_out = int(rng.integers(2, 7))
+            hidden = int(rng.integers(3, 9))
+            shapes = [[n_in, hidden, hidden, n_out]]
+        else:
+            widths = rng.integers(2, 6, 3)
+            hidden = int(rng.integers(3, 9))
+            shapes = [[int(n), hidden, hidden, 2 * int(n)] for n in widths]
+        learner = StackedLearner([
+            AgentPair(*(QNetwork.initialized(sizes, np.random.default_rng(int(rng.integers(1 << 30))))
+                        for _ in range(2)))
+            for sizes in shapes
+        ], capacity=1)
+        rows = int(rng.integers(1, 5))
+        batches = [[
             Experience(
-                tuple(int(b) for b in rng.integers(0, 2, n_in)),
-                int(rng.integers(n_out)),
+                tuple(int(b) for b in rng.integers(0, 2, sizes[0])),
+                int(rng.integers(sizes[-1])),
                 float(rng.uniform(-1, 1)),
-                tuple(int(b) for b in rng.integers(0, 2, n_in)),
+                tuple(int(b) for b in rng.integers(0, 2, sizes[0])),
             )
-            for _ in range(int(rng.integers(1, 5)))
-        ]
-        n = len(batch)
-        obs = np.array([e.observation for e in batch], dtype=float)
-        nxt = np.array([e.next_observation for e in batch], dtype=float)
-        actions = np.array([e.action for e in batch], dtype=np.intp)
-        rewards = np.array([e.reward for e in batch], dtype=float)
-        q_next, _ = pair.target.forward_batch(nxt)
-        labels_y = rewards + hp.gamma * q_next.max(axis=1)
-        q_all, cache = pair.main.forward_batch(obs)
-        q_taken = q_all[np.arange(n), actions]
-        labels = (1 - hp.alpha) * q_taken + hp.alpha * labels_y
-        d_out = np.zeros_like(q_all)
-        d_out[np.arange(n), actions] = 2.0 * (q_taken - labels) / n
-        grads_w, grads_b = pair.main.backward(cache, d_out)
-        analytic = np.concatenate(
-            [g.ravel() for g in grads_w] + [g.ravel() for g in grads_b]
-        )
-
-        params = np.concatenate(
-            [w.ravel() for w in pair.main.weights]
-            + [b.ravel() for b in pair.main.biases]
-        )
-
-        def loss_at(flat):
-            offset = 0
-            saved_w = [w.copy() for w in pair.main.weights]
-            saved_b = [b.copy() for b in pair.main.biases]
-            for w in pair.main.weights:
-                w[...] = flat[offset:offset + w.size].reshape(w.shape)
-                offset += w.size
-            for b in pair.main.biases:
-                b[...] = flat[offset:offset + b.size]
-                offset += b.size
-            q, _ = pair.main.forward_batch(obs)
-            value = float(np.mean((q[np.arange(n), actions] - labels) ** 2))
-            for w, w0 in zip(pair.main.weights, saved_w):
-                w[...] = w0
-            for b, b0 in zip(pair.main.biases, saved_b):
-                b[...] = b0
-            return value
-
-        h = 1e-5
-        numeric = np.empty_like(params)
-        for k in range(params.size):
-            up, down = params.copy(), params.copy()
-            up[k] += h
-            down[k] -= h
-            numeric[k] = (loss_at(up) - loss_at(down)) / (2 * h)
+            for _ in range(rows)
+        ] for sizes in shapes]
+        learner.gradients(*stacked_batch(batches, max(s[0] for s in shapes)), hp)
+        analytic = learner.grads
+        numeric = numeric_gradient(learner, batches, hp)
+        padded = padded_entries(learner)
+        padding_ok = padding_ok and not (analytic[padded].any() or np.signbit(analytic[padded]).any())
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
-    gradients_ok = worst < 1e-4
+    gradients_ok = worst < 1e-4 and padding_ok
 
     # Exploration schedule matches its closed form.
     sched = EpsilonSchedule(eps_min=0.01, eps_max=1.0, decay=0.01)
@@ -346,13 +318,13 @@ def test_criterion_8_learning_core_numerics():
     )
 
     # alpha = 1 label equals the bootstrap target exactly.
-    pair = AgentPair.initialized([3, 8, 4], np.random.default_rng(5))
+    learner = StackedLearner([AgentPair.initialized([3, 8, 4], np.random.default_rng(5))], 1)
+    pair = learner.pairs[0]
     e = Experience((1, 0, 1), 2, 0.25, (0, 1, 1))
     y = 0.25 + 0.9 * pair.target.forward([0, 1, 1]).max()
     q_before = pair.main.forward([1, 0, 1])[2]
-    from gridrestore import train_step
-
-    loss = train_step(pair, [e], Hyperparameters(alpha=1.0, gamma=0.9, seed=0))
+    (loss,) = learner.gradients(*stacked_batch([[e]], 3),
+                                Hyperparameters(alpha=1.0, gamma=0.9, seed=0))
     blend_ok = abs(loss - (y - q_before) ** 2) < 1e-12
 
     # Energy balance on every converged solve.

@@ -6,7 +6,6 @@ import pytest
 from gridrestore import (
     AgentPair,
     EpsilonSchedule,
-    Experience,
     Hyperparameters,
     QNetwork,
     StackedLearner,
@@ -15,6 +14,13 @@ from gridrestore import (
     explore_joint,
     load_checkpoint,
     save_checkpoint,
+)
+from reference import (
+    Experience,
+    numeric_gradient,
+    padded_entries,
+    stacked_batch,
+    sync_target,
     train_step,
 )
 
@@ -151,16 +157,18 @@ def test_replay_buffer_underfilled_and_determinism():
     assert all(len(set(row)) == 6 for row in full)  # without replacement
 
 
-def _stacked_batch(batches, width):
-    """A ``StackedLearner.sample``-shaped batch of per-agent experience lists."""
-    bits = np.zeros((2, len(batches), len(batches[0]), width))
-    for a, batch in enumerate(batches):
-        for row, e in enumerate(batch):
-            bits[0, a, row, : len(e.observation)] = e.observation
-            bits[1, a, row, : len(e.observation)] = e.next_observation
-    return (bits.reshape(-1, len(batches[0]), width),
-            np.array([[e.action for e in b] for b in batches]),
-            np.array([[e.reward for e in b] for b in batches]))
+def _learner(widths, hidden, seed):
+    """A stacked learner of agents with ``widths`` breakers, main and target equal."""
+    return StackedLearner([AgentPair.initialized([n, *hidden, 2 * n],
+                                                 np.random.default_rng(seed + n))
+                           for n in widths], capacity=1)
+
+
+def _experiences(rng, widths, rows):
+    """One list of ``rows`` random experiences per agent."""
+    return [[Experience(tuple(rng.integers(0, 2, n)), int(rng.integers(2 * n)),
+                        float(rng.uniform(-1, 1)), tuple(rng.integers(0, 2, n)))
+             for _ in range(rows)] for n in widths]
 
 
 @pytest.mark.parametrize("hidden", [(), (7,), (16, 8, 16), (64, 64)])
@@ -178,34 +186,24 @@ def test_stacked_step_equals_per_agent_reference(hidden):
     reference[2].target.weights[-1][...] = 0.0
     reference[2].target.biases[-1][...] = rng.uniform(-2.0, -1.0, 6)
     learner = StackedLearner(reference, capacity=1)  # copies every network in
-    real = [np.zeros(w.shape, dtype=bool) for w in learner.weights]
-    for a, pair in enumerate(reference + reference):
-        for mask, w in zip(real, pair.main.weights):
-            mask[a, : w.shape[0], : w.shape[1]] = True
+    padded = padded_entries(learner)
 
     for step, batch_size in enumerate((32, 2, 7)):
-        batches = [
-            [Experience(tuple(rng.integers(0, 2, n)), int(rng.integers(2 * n)),
-                        float(rng.uniform(-1, 1)), tuple(rng.integers(0, 2, n)))
-             for _ in range(batch_size)]
-            for n in widths
-        ]
+        batches = _experiences(rng, widths, batch_size)
         for p, b in zip(reference, batches):
             train_step(p, b, hp)
-        learner.train_step(*_stacked_batch(batches, 10), hp)
+        learner.train_step(*stacked_batch(batches, 10), hp)
         if step == 1:
             learner.sync_target()
             for p in reference:
-                p.sync_target()
+                sync_target(p)
         for got, want in zip(learner.pairs, reference):
             for net_got, net_want in ((got.main, want.main), (got.target, want.target)):
                 for x, y in zip(net_got.weights + net_got.biases,
                                 net_want.weights + net_want.biases):
                     assert x.tobytes() == y.tobytes()
-        for w, b, mask in zip(learner.weights, learner.biases, real):
-            assert not w[~mask].any() and not np.signbit(w[~mask]).any()
-            padded_b = ~mask.any(axis=2)
-            assert not b[padded_b].any() and not np.signbit(b[padded_b]).any()
+        for row in (*learner.params, learner.grads):  # mains, targets, scaled gradient
+            assert not row[padded].any() and not np.signbit(row[padded]).any()
 
 
 def test_stacked_step_on_one_row_batches_agrees_to_rounding():
@@ -218,150 +216,108 @@ def test_stacked_step_on_one_row_batches_agrees_to_rounding():
     learner = StackedLearner(reference, capacity=1)
     rng = np.random.default_rng(9)
     for _ in range(5):
-        batches = [[Experience(tuple(rng.integers(0, 2, n)), int(rng.integers(2 * n)),
-                               float(rng.uniform(-1, 1)), tuple(rng.integers(0, 2, n)))]
-                   for n in widths]
+        batches = _experiences(rng, widths, 1)
         for p, b in zip(reference, batches):
             train_step(p, b, hp)
-        learner.train_step(*_stacked_batch(batches, 10), hp)
+        learner.train_step(*stacked_batch(batches, 10), hp)
     for got, want in zip(learner.pairs, reference):
         for x, y in zip(got.main.weights + got.main.biases, want.main.weights + want.main.biases):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
-    assert not learner.weights[0][1, :, 3:].any() and not learner.biases[-1][1, 6:].any()
-    assert not learner.weights[0][3, :, 3:].any() and not learner.biases[-1][3, 6:].any()
+    assert not learner.params[:, padded_entries(learner)].any()
+
+
+# One agent, whose stack has no padding, and three agents of mixed widths.
+WIDTHS = [(4,), (4, 2, 3)]
 
 
 def test_sync_target_bit_equality_and_idempotence():
-    pair = AgentPair.initialized([4, 8, 8], np.random.default_rng(3))
-    batch = [Experience((1, 0, 1, 0), 2, 0.4, (1, 1, 1, 0))] * 4
-    hp = Hyperparameters(seed=0)
-    init_target = [w.copy() for w in pair.target.weights]
-    train_step(pair, batch, hp)
-    # target untouched until an explicit sync
-    assert all(np.array_equal(a, b) for a, b in zip(pair.target.weights, init_target))
-    pair.sync_target()
-    obs = [0, 1, 0, 1]
-    assert np.array_equal(pair.main.forward(obs), pair.target.forward(obs))
-    snap = [w.copy() for w in pair.target.weights]
-    pair.sync_target()
-    assert all(np.array_equal(a, b) for a, b in zip(pair.target.weights, snap))
+    for widths in WIDTHS:
+        learner = _learner(widths, (8,), seed=3)
+        batches = _experiences(np.random.default_rng(3), widths, 4)
+        init_target = learner.params[1].copy()
+        learner.train_step(*stacked_batch(batches, 4), Hyperparameters(seed=0))
+        # targets untouched until an explicit sync
+        assert learner.params[1].tobytes() == init_target.tobytes()
+        assert learner.params[0].tobytes() != init_target.tobytes()
+        learner.sync_target()
+        assert learner.params[1].tobytes() == learner.params[0].tobytes()
+        for pair, n in zip(learner.pairs, widths):
+            obs = [k & 1 for k in range(n)]
+            assert np.array_equal(pair.main.forward(obs), pair.target.forward(obs))
+        snap = learner.params.copy()
+        learner.sync_target()
+        assert learner.params.tobytes() == snap.tobytes()
 
 
 def test_train_step_alpha_one_uses_pure_bootstrap_label():
-    pair = AgentPair.initialized([2, 6, 4], np.random.default_rng(11))
-    pair.sync_target()
-    e = Experience((1, 0), 1, 0.3, (0, 1))
-    q_before = pair.main.forward([1, 0])[1]
-    y = 0.3 + 0.95 * pair.target.forward([0, 1]).max()
-    loss = train_step(pair, [e], Hyperparameters(alpha=1.0, gamma=0.95, seed=0))
-    assert loss == pytest.approx((y - q_before) ** 2, rel=1e-12)
+    for widths in WIDTHS:
+        learner = _learner(widths, (6,), seed=11)
+        rng = np.random.default_rng(11)
+        for pair in learner.pairs:  # targets that differ from the mains
+            pair.target.weights[-1][...] = rng.uniform(-1, 1, pair.target.weights[-1].shape)
+        batches = _experiences(rng, widths, 2)
+        want = [np.mean([(e.reward + 0.95 * pair.target.forward(e.next_observation).max()
+                          - pair.main.forward(e.observation)[e.action]) ** 2 for e in batch])
+                for pair, batch in zip(learner.pairs, batches)]
+        loss = learner.train_step(*stacked_batch(batches, 4),
+                                  Hyperparameters(alpha=1.0, gamma=0.95, seed=0))
+        assert loss.shape == (len(widths),)
+        assert loss == pytest.approx(want, rel=1e-12)
 
 
 def test_train_step_gamma_zero_ignores_next_observation():
-    hp = Hyperparameters(alpha=1.0, gamma=0.0, eta=0.01, seed=0)
-    pairs = []
-    for nxt in ((0, 1), (1, 1)):
-        pair = AgentPair.initialized([2, 6, 4], np.random.default_rng(2))
-        train_step(pair, [Experience((1, 0), 0, 0.7, nxt)], hp)
-        pairs.append(pair)
-    for w1, w2 in zip(pairs[0].main.weights, pairs[1].main.weights):
-        assert np.array_equal(w1, w2)
+    for widths in WIDTHS:
+        hp = Hyperparameters(alpha=1.0, gamma=0.0, eta=0.01, seed=0)
+        batches = _experiences(np.random.default_rng(2), widths, 3)
+        stepped = []
+        for flip in (False, True):
+            learner = _learner(widths, (6,), seed=2)
+            obs, actions, rewards = stacked_batch(batches, 4)
+            if flip:  # other next observations, padding included
+                obs[len(widths):] = 1.0 - obs[len(widths):]
+            learner.train_step(obs, actions, rewards, hp)
+            stepped.append(learner.params[0].tobytes())
+        assert stepped[0] == stepped[1]
 
 
 def test_train_step_fixed_point_leaves_weights_alone():
-    # Zero network, zero reward, gamma arbitrary: label == prediction == 0.
-    main = zero_network([2, 4, 3])
-    pair = AgentPair(main=main, target=main.copy())
-    before = [w.copy() for w in pair.main.weights]
-    loss = train_step(pair, [Experience((0, 1), 1, 0.0, (1, 0))],
-                      Hyperparameters(seed=0))
-    assert loss == 0.0
-    assert all(np.array_equal(a, b) for a, b in zip(pair.main.weights, before))
-
-
-def _batch_loss(pair, batch, hp):
-    """Frozen-label loss used by the finite-difference oracle."""
-    n = len(batch)
-    obs = np.array([e.observation for e in batch], dtype=float)
-    nxt = np.array([e.next_observation for e in batch], dtype=float)
-    actions = np.array([e.action for e in batch], dtype=np.intp)
-    rewards = np.array([e.reward for e in batch], dtype=float)
-    q_next, _ = pair.target.forward_batch(nxt)
-    y = rewards + hp.gamma * q_next.max(axis=1)
-    q_all, _ = pair.main.forward_batch(obs)
-    q_taken = q_all[np.arange(n), actions]
-    labels = (1.0 - hp.alpha) * q_taken + hp.alpha * y
-
-    def loss_at(params_flat):
-        saved = [w.copy() for w in pair.main.weights], [b.copy() for b in pair.main.biases]
-        offset = 0
-        for w in pair.main.weights:
-            w[...] = params_flat[offset:offset + w.size].reshape(w.shape)
-            offset += w.size
-        for b in pair.main.biases:
-            b[...] = params_flat[offset:offset + b.size]
-            offset += b.size
-        q, _ = pair.main.forward_batch(obs)
-        value = float(np.mean((q[np.arange(n), actions] - labels) ** 2))
-        for w, w0 in zip(pair.main.weights, saved[0]):
-            w[...] = w0
-        for b, b0 in zip(pair.main.biases, saved[1]):
-            b[...] = b0
-        return value
-
-    return labels, loss_at
-
-
-def _flatten(net):
-    return np.concatenate([w.ravel() for w in net.weights]
-                          + [b.ravel() for b in net.biases])
+    # Zero networks, zero reward, gamma arbitrary: label == prediction == 0.
+    for widths in WIDTHS:
+        learner = StackedLearner([AgentPair(*[zero_network([n, 4, 2 * n])] * 2)
+                                  for n in widths], capacity=1)
+        batches = [[Experience(tuple(k & 1 for k in range(n)), 1, 0.0, (1,) * n)] * 2
+                   for n in widths]
+        loss = learner.train_step(*stacked_batch(batches, 4), Hyperparameters(seed=0))
+        assert np.array_equal(loss, np.zeros(len(widths)))
+        assert not learner.params.any() and not np.signbit(learner.params).any()
+        assert not learner.grads.any()
 
 
 def test_backprop_matches_central_finite_differences():
+    # Stacks of one to three agents of random widths: the gradient in
+    # ``grads`` matches finite differences in ``params[0]``, and padded
+    # entries get exactly +0.0, as the finite differences do.
     rng = np.random.default_rng(2024)
     hp = Hyperparameters(gamma=0.9, alpha=0.7, seed=0)
     worst = 0.0
     for _ in range(100):
-        n_in = int(rng.integers(2, 6))
-        n_out = int(rng.integers(2, 7))
-        hidden = int(rng.integers(3, 9))
-        pair = AgentPair.initialized([n_in, hidden, hidden, n_out],
-                                     np.random.default_rng(int(rng.integers(1 << 30))))
-        pair.target = QNetwork.initialized(
-            [n_in, hidden, hidden, n_out], np.random.default_rng(int(rng.integers(1 << 30)))
-        )
-        batch = [
-            Experience(
-                tuple(int(b) for b in rng.integers(0, 2, n_in)),
-                int(rng.integers(n_out)),
-                float(rng.uniform(-1, 1)),
-                tuple(int(b) for b in rng.integers(0, 2, n_in)),
-            )
-            for _ in range(int(rng.integers(1, 5)))
-        ]
-        labels, loss_at = _batch_loss(pair, batch, hp)
-
-        # Analytic gradient via the production backward pass.
-        n = len(batch)
-        obs = np.array([e.observation for e in batch], dtype=float)
-        actions = np.array([e.action for e in batch], dtype=np.intp)
-        q_all, cache = pair.main.forward_batch(obs)
-        d_out = np.zeros_like(q_all)
-        d_out[np.arange(n), actions] = 2.0 * (q_all[np.arange(n), actions] - labels) / n
-        grads_w, grads_b = pair.main.backward(cache, d_out)
-        analytic = np.concatenate([g.ravel() for g in grads_w]
-                                  + [g.ravel() for g in grads_b])
-
-        params = _flatten(pair.main)
-        h = 1e-5
-        numeric = np.empty_like(params)
-        for k in range(params.size):
-            up, down = params.copy(), params.copy()
-            up[k] += h
-            down[k] -= h
-            numeric[k] = (loss_at(up) - loss_at(down)) / (2 * h)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
+        widths = [int(n) for n in rng.integers(1, 5, int(rng.integers(1, 4)))]
+        hidden = [int(h) for h in rng.integers(3, 9, 2)]
+        learner = StackedLearner([
+            AgentPair(*(QNetwork.initialized([n, *hidden, 2 * n],
+                                             np.random.default_rng(int(rng.integers(1 << 30))))
+                        for _ in range(2)))
+            for n in widths
+        ], capacity=1)
+        batches = _experiences(rng, widths, int(rng.integers(1, 5)))
+        learner.gradients(*stacked_batch(batches, max(widths)), hp)
+        numeric = numeric_gradient(learner, batches, hp)
+        padded = padded_entries(learner)
+        assert padded.any() == (len(set(widths)) > 1)
+        assert not learner.grads[padded].any() and not np.signbit(learner.grads[padded]).any()
+        assert not numeric[padded].any()
+        denom = np.maximum(np.maximum(np.abs(learner.grads), np.abs(numeric)), 1e-6)
+        worst = max(worst, float(np.max(np.abs(learner.grads - numeric) / denom)))
     assert worst < 1e-4
 
 

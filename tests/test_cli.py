@@ -1,5 +1,6 @@
 import csv
 import json
+from unittest.mock import ANY
 
 import pytest
 
@@ -78,6 +79,36 @@ def test_train_eval_round_trip(capsys, tmp_path):
     assert trace_rows[0] == ["step", "agent", "breaker", "toggle",
                              "served_kw", "reward", "violation"]
     assert len(trace_rows) == 1 + 5 * 2
+
+
+def _trained(capsys, tmp_path):
+    out = tmp_path / "run"
+    assert run(capsys, "train", "--feeder", "ieee13", "--episodes", "2", "--steps", "4",
+               "--seed", "7", "--out", str(out))[0] == 0
+    return out
+
+
+def _fails_with_one_error_line(code, err, *fragments):
+    assert code == 1 and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert all(f in err for f in fragments), err
+
+
+def test_eval_rejects_a_malformed_checkpoint(capsys, tmp_path):
+    out = _trained(capsys, tmp_path)
+    path = out / "checkpoint_agent0.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "weights": 5}))
+    code, _, err = run(capsys, "eval", "--feeder", "ieee13", "--checkpoints", str(out),
+                       "--out", str(tmp_path / "eval"))
+    _fails_with_one_error_line(code, err, "checkpoint_agent0.json", "weights")
+
+
+def test_eval_rejects_a_rollout_of_no_steps(capsys, tmp_path):
+    out = _trained(capsys, tmp_path)
+    code, stdout, err = run(capsys, "eval", "--feeder", "ieee13", "--checkpoints", str(out),
+                            "--execute-steps", "-3", "--out", str(tmp_path / "eval"))
+    _fails_with_one_error_line(code, err, "max_steps must be at least 1, got -3")
+    assert "greedy rollout" not in stdout
 
 
 def test_train_outputs_are_reproducible(capsys, tmp_path):
@@ -159,6 +190,11 @@ def test_oracle_writes_and_reuses_cache(capsys, tmp_path):
     assert "timestamp" in doc and "feeder_hash" in doc
     code, stdout, _ = run(capsys, "oracle", "--feeder", "ieee13", "--out", str(out))
     assert code == 0 and "cached" in stdout
+    # A corrupt cache is a miss: the command recomputes and overwrites it.
+    (out / "oracle.json").write_text("[1, 2]")
+    code, stdout, _ = run(capsys, "oracle", "--feeder", "ieee13", "--out", str(out))
+    assert code == 0 and "cached" not in stdout and "best 2563.0 kW" in stdout
+    assert json.loads((out / "oracle.json").read_text()) == {**doc, "timestamp": ANY}
 
 
 def test_powerflow_reports_and_dumps(capsys, tmp_path):

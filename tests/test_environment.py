@@ -18,9 +18,11 @@ from gridrestore import (
     Line,
     LoadPoint,
     MicrogridPartition,
+    QNetwork,
     RestorationEnv,
     TrainingConfig,
     check_constraints,
+    execute,
     islands,
     solve,
     train,
@@ -115,6 +117,16 @@ def test_episode_exhaustion(ieee13):
         env.step(NOOP13)
     env.reset()
     env.step(NOOP13)  # reset clears the budget
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_max_steps_below_one_is_rejected(ieee13, max_steps):
+    with pytest.raises(ValueError, match=f"max_steps must be at least 1, got {max_steps}"):
+        RestorationEnv(ieee13, max_steps=max_steps)
+    zero_nets = [QNetwork([np.zeros((2 * len(g), len(g)))], [np.zeros(2 * len(g))])
+                 for g in ieee13.partition.assignments]
+    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+        execute(zero_nets, ieee13, max_steps=max_steps)
 
 
 def test_validate_joint_examples(env13):

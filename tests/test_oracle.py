@@ -324,3 +324,17 @@ def test_result_cache_round_trip(tmp_path, ieee13):
     del doc["solved_count"]
     path.write_text(json.dumps(doc))
     assert load_result(path, ieee13).solved_count == 512
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [1, 2],
+    lambda doc: {**doc, "best_states": 5},
+    lambda doc: {**doc, "feasible_count": None},
+    lambda doc: {**doc, "best_weighted_kw": [1.0]},
+], ids=["top-level-list", "int-states", "null-count", "list-kw"])
+def test_result_cache_that_is_malformed_is_a_miss(tmp_path, ieee13, edit):
+    path = tmp_path / "oracle.json"
+    save_result(path, ieee13, brute_force(ieee13))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert load_result(path, ieee13) is None
+    assert load_result(path) is None

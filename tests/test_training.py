@@ -199,22 +199,41 @@ def test_checkpoint_round_trip_through_execute(tmp_path, ieee13):
     assert direct.entries == loaded.entries
 
 
-@pytest.mark.parametrize("fault", ["duplicate-agent", "nan-weight", "inf-bias"])
+# fault: (where in agent 1's checkpoint, the value put there, expected message);
+# an empty path replaces the whole document.
+CHECKPOINT_FAULTS = {
+    "duplicate-agent": (("agent",), 0, "both hold agent 0"),
+    "nan-weight": (("weights", 0, 0, 0), float("nan"), "non-finite"),
+    "inf-bias": (("biases", -1, 0), float("inf"), "non-finite"),
+    "int-weights": (("weights",), 5, "mistyped weights"),
+    "int-breakers": (("breakers",), 5, "mistyped breakers"),
+    "null-agent": (("agent",), None, "mistyped agent"),
+    "ragged-weights": (("weights", 0, 0), [1.0, [2.0]], "inhomogeneous"),
+    "bias-shape": (("biases", 0), [1.0], "architecture mismatch"),
+    "unknown-breaker": (("breakers", 0), "nope", "breaker 'nope'"),
+    "top-level-list": ((), [1, 2], "top level must be a JSON object, not list"),
+}
+
+
+@pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
 def test_load_models_rejects_a_bad_checkpoint_by_name(tmp_path, ieee13, fault):
     cfg = quick_cfg(seed=6, episodes=2)
     models, _ = train(ieee13, cfg)
     save_models(tmp_path, ieee13, cfg, models)
     path = tmp_path / "checkpoint_agent1.json"
+    keys, value, message = CHECKPOINT_FAULTS[fault]
     doc = json.loads(path.read_text())
-    if fault == "duplicate-agent":
-        doc["agent"] = 0
-    elif fault == "nan-weight":
-        doc["weights"][0][0][0] = float("nan")
+    if keys:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
     else:
-        doc["biases"][-1][0] = float("inf")
+        doc = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="checkpoint_agent1.json"):
+    with pytest.raises(ValueError, match="checkpoint_agent1.json") as raised:
         load_models(tmp_path, ieee13)
+    assert message in str(raised.value)
 
 
 def test_compare_emits_one_row_per_variant(tmp_path, ieee13):
