@@ -343,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force restoration optimum")
     p.add_argument("--feeder", required=True)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "naive", "gray", "decomposed"])
+    p.add_argument("--method", default="decomposed",
+                   choices=["auto", "naive", "gray", "decomposed"],
+                   help="naive solves every state; auto and gray are other names of decomposed")
     p.add_argument("--force", action="store_true", help="ignore a cached result")
     p.add_argument("--out", default="runs/oracle", help="output directory")
     p.set_defaults(func=_cmd_oracle)

@@ -10,11 +10,12 @@ array: row i holds agent i's breaker bits in partition order, zero-padded to
 the widest agent, the layout of the learner's replay ring.
 Verdicts are solved and memoized per island (see ``powerflow.islands``): a
 state is feasible when every island's sub-state is. An island's bits, read as
-an integer (bit j is its j-th breaker), pick a page of 2^p sub-states (2^p the
-largest power of two within ``powerflow.batch_rows`` of the island, at most
-2^breakers) that ``powerflow.verdict_page`` solves as one batch at its first
-lookup. The pages belong to the feeder object, shared by every environment on
-it and freed with it; so in ``compare`` the first variant pays the page fills.
+an integer code (bit j is its j-th breaker), give a page and a row by
+``divmod(code, powerflow.batch_rows(island))``; ``powerflow.verdict_page``
+solves the page's rows as one batch at its first lookup, the same batches the
+oracle solves. The pages belong to the feeder object, shared by every
+environment on it and freed with it; so in ``compare`` the first variant pays
+the page fills.
 
 Two reward modes:
 
@@ -96,16 +97,15 @@ class RestorationEnv:
         # Row k of _place holds island k's place values (bit j is its j-th
         # breaker), so _place @ states reads every island's bits as an integer.
         self._place = np.zeros((len(self._islands), feeder.n_breakers), dtype=np.int64)
-        self._page_bits = []  # a page: 2^p sub-states that agree above bit p
-        for k, (positions, sub) in enumerate(self._islands):
+        for k, (positions, _) in enumerate(self._islands):
             self._place[k, list(positions)] = 1 << np.arange(len(positions))
-            self._page_bits.append(min(len(positions), batch_rows(sub).bit_length() - 1))
+        self._page_rows = [batch_rows(sub) for _, sub in self._islands]
         # (joint, candidate states, verdict) of the last validate_joint since
         # the state last changed; a step of that joint reuses them.
         self._validated: tuple | None = None
         if reward_mode == "masked":
-            for (_, sub), p in zip(self._islands, self._page_bits):
-                if not verdict_page(sub, p, 0)[0][0]:  # row 0 of page 0: the island all open
+            for _, sub in self._islands:
+                if not verdict_page(sub, 0)[0][0]:  # row 0 of page 0: the island all open
                     raise ValueError(
                         f"the island of generators {', '.join(g.id for g in sub.generators)} "
                         "violates a constraint with all breakers open; masked mode needs "
@@ -150,9 +150,10 @@ class RestorationEnv:
     def _feasibility(self, states: np.ndarray) -> tuple[bool, float, float]:
         """The AND of the island verdicts and the sums of their served power."""
         ok, served, weighted = True, 0.0, 0.0
-        for (_, sub), code, p in zip(self._islands, self._place.dot(states).tolist(),
-                                     self._page_bits):
-            f, s, w = verdict_page(sub, p, code >> p)[code & ((1 << p) - 1)]
+        for (_, sub), code, rows in zip(self._islands, self._place.dot(states).tolist(),
+                                        self._page_rows):
+            page, row = divmod(code, rows)
+            f, s, w = verdict_page(sub, page)[row]
             ok, served, weighted = ok and f, served + s, weighted + w
         return ok, served, weighted
 

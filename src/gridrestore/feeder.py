@@ -345,6 +345,11 @@ def load_feeder(source) -> Feeder:
         raise FeederParseError("partition keys must be agent integers") from None
     if keys != list(range(len(keys))):
         raise FeederParseError("partition keys must be contiguous agent ids 0..m-1")
+    for key, ids in part_doc.items():
+        if key != str(int(key)):
+            raise FeederParseError(f"partition key {key!r} must be written as {int(key)}")
+        if not isinstance(ids, list):
+            raise FeederParseError(f"partition {key!r} must be a list of breaker ids")
     partition = MicrogridPartition(
         assignments=tuple(tuple(str(b) for b in part_doc[str(k)]) for k in keys)
     )

@@ -5,30 +5,23 @@ every operating constraint, and returns the maximum weighted restored power.
 Ties are broken by fewer closed breakers, then by lexicographically smallest
 state vector, which makes the result independent of enumeration order.
 
-Three interchangeable strategies:
+Two strategies:
 
 ``naive``
     Plain binary-order enumeration, one full solve per configuration. The
     reference semantics.
-``gray``
-    Gray-code order with a sound capacity pre-screen on the solver's
-    energization masks (a configuration whose topological served power
-    already exceeds total generation cannot satisfy the power balance, since
-    losses are non-negative); the rest are solved in batches. Identical
-    results, fewer solves.
 ``decomposed``
     Per-island enumeration (see ``powerflow.islands``), exact on any feeder.
     No line joins two islands, so a state is feasible exactly when each
     island's sub-state is, weighted power is the sum over islands, and the
     optimum, feasible count and tie-breaks all decompose: 2^10 + 2^5 + 2^3 +
-    2^3 + 2^5 island sub-states instead of 2^26 on the 123-node study feeder,
-    each island's solved in a few batched calls of ``powerflow.solve_batch``.
+    2^3 + 2^5 island sub-states instead of 2^26 on the 123-node study feeder.
+    Each island's pages (``powerflow.page_states``, the environment's verdict
+    pages) are solved one ``powerflow.solve_batch`` call each and not kept.
+    The names ``auto`` and ``gray`` select it too.
 
 ``evaluated_count`` is always 2^B, the configurations the result covers;
 ``solved_count`` is how many power flows were actually run.
-
-``auto`` picks ``decomposed`` when the feeder has two or more islands, else
-``gray``.
 """
 
 from __future__ import annotations
@@ -40,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feeder import Feeder, feeder_hash
-from .powerflow import _restored, batch_rows, check_constraints, islands, solve, solve_batch
+from .powerflow import batch_rows, check_constraints, islands, page_states, solve, solve_batch
 
-MAX_BREAKERS = 26
+MAX_BREAKERS = 26  # per island for ``decomposed``, per feeder for ``naive``
 
 
 class TooManyBreakers(ValueError):
@@ -65,37 +58,10 @@ def _key(weighted: float, states: tuple[int, ...]):
     return (-weighted, sum(states), states)
 
 
-def _enumerate_batches(feeder: Feeder, gray: bool = False):
-    """(best, feasible count, solved count) over all 2^B configurations,
-    solved in batches of ``powerflow.batch_rows`` rows.
-
-    With ``gray``: Gray order and a capacity pre-screen, which skips any
-    configuration whose topological served power already exceeds total
-    generation (it must fail the power balance: losses are non-negative).
-    """
-    n, capacity = feeder.n_breakers, feeder.total_capacity_kw()
-    step = batch_rows(feeder)
-    best, feasible, solved = None, 0, 0
-    for lo in range(0, 2 ** n, step):
-        i = np.arange(lo, min(lo + step, 2 ** n))
-        rows = ((i ^ (i >> 1) if gray else i)[:, None] >> np.arange(n)) & 1
-        if gray:
-            rows = rows[~(_restored(feeder, rows)[0] > capacity + 1e-6)]
-        verdicts = solve_batch(feeder, rows)
-        ok, weighted = verdicts.feasible, verdicts.weighted_kw
-        feasible, solved = feasible + int(ok.sum()), solved + len(rows)
-        if ok.any():
-            top = weighted[ok].max()
-            for j in np.flatnonzero(ok & (weighted == top)):
-                states = tuple(rows[j].tolist())
-                k = _key(float(top), states)
-                if best is None or k < best[0]:
-                    best = (k, states, float(top), float(verdicts.served_kw[j]))
-    return best, feasible, solved
-
-
 def _brute_force_naive(feeder: Feeder) -> OracleResult:
     n = feeder.n_breakers
+    if n > MAX_BREAKERS:
+        raise TooManyBreakers(f"{n} breakers exceeds the {MAX_BREAKERS}-breaker cap")
     total = 2 ** n
     best, feasible = None, 0
     for i in range(total):
@@ -112,45 +78,48 @@ def _brute_force_naive(feeder: Feeder) -> OracleResult:
     return OracleResult(best[1], best[2], best[3], feasible, total, "naive", total)
 
 
-def _brute_force_gray(feeder: Feeder) -> OracleResult:
-    best, feasible, solved = _enumerate_batches(feeder, gray=True)
-    if best is None:
-        raise RuntimeError("no feasible configuration (not even all-open)")
-    return OracleResult(best[1], best[2], best[3], feasible, 2 ** feeder.n_breakers, "gray", solved)
-
-
 def decomposed_optimum(feeder: Feeder) -> OracleResult:
-    """Exact optimum via enumeration of each island's sub-feeder on its own."""
+    """Exact optimum via enumeration of each island's sub-feeder on its own,
+    one ``solve_batch`` call per page of the island."""
+    for _, sub in islands(feeder):
+        if sub.n_breakers > MAX_BREAKERS:
+            raise TooManyBreakers(
+                f"the island of generators {', '.join(g.id for g in sub.generators)} has "
+                f"{sub.n_breakers} breakers, over the {MAX_BREAKERS}-breaker cap"
+            )
     best_states = [0] * feeder.n_breakers
     total_weighted = total_served = 0.0
-    feasible_product, solved_total = 1, 0
+    feasible_product, solved = 1, 0
     for k, (positions, sub) in enumerate(islands(feeder)):
-        best, feasible, solved = _enumerate_batches(sub)
+        best, feasible = None, 0
+        for page in range((2 ** sub.n_breakers - 1) // batch_rows(sub) + 1):
+            rows = page_states(sub, page)
+            verdicts = solve_batch(sub, rows)
+            ok, weighted = verdicts.feasible, verdicts.weighted_kw
+            feasible, solved = feasible + int(ok.sum()), solved + len(rows)
+            if ok.any():
+                top = weighted[ok].max()
+                for j in np.flatnonzero(ok & (weighted == top)):
+                    states = tuple(rows[j].tolist())
+                    key = _key(float(top), states)
+                    if best is None or key < best[0]:
+                        best = (key, states, float(top), float(verdicts.served_kw[j]))
         if best is None:
             raise RuntimeError(f"island {k} has no feasible configuration")
         feasible_product *= feasible
-        solved_total += solved
         for pos, bit in zip(positions, best[1]):
             best_states[pos] = bit
         total_weighted += best[2]
         total_served += best[3]
     return OracleResult(tuple(best_states), total_weighted, total_served, feasible_product,
-                        2 ** feeder.n_breakers, "decomposed", solved_total)
+                        2 ** feeder.n_breakers, "decomposed", solved)
 
 
-def brute_force(feeder: Feeder, method: str = "auto") -> OracleResult:
+def brute_force(feeder: Feeder, method: str = "decomposed") -> OracleResult:
     """Feasible maximizer of weighted restored power over all 2^B states."""
-    if feeder.n_breakers > MAX_BREAKERS:
-        raise TooManyBreakers(
-            f"{feeder.n_breakers} breakers exceeds the {MAX_BREAKERS}-breaker cap"
-        )
-    if method == "auto":
-        method = "decomposed" if len(islands(feeder)) >= 2 else "gray"
     if method == "naive":
         return _brute_force_naive(feeder)
-    if method == "gray":
-        return _brute_force_gray(feeder)
-    if method == "decomposed":
+    if method in ("auto", "gray", "decomposed"):
         return decomposed_optimum(feeder)
     raise ValueError(f"unknown oracle method {method!r}")
 

@@ -459,18 +459,25 @@ def solve_batch(feeder: Feeder, states) -> BatchVerdicts:
     return BatchVerdicts(_checks(idx, sw, served)[0], served, weighted, sw.iterations)
 
 
-def verdict_page(feeder: Feeder, p: int, page: int) -> list[tuple[bool, float, float]]:
-    """(feasible, served kW, weighted kW) of states ``(page << p) + i``, i < 2^p,
-    bit j being breaker j. Memoized on the feeder object under (p, page), so
-    every caller on it shares the pages; a miss solves the page as one batch.
+def page_states(feeder: Feeder, page: int) -> np.ndarray:
+    """State rows of the r = ``batch_rows(feeder)`` codes from ``page * r``,
+    the last page cut at 2^breakers; bit j of a code is breaker j."""
+    n, r = len(feeder.breakers), batch_rows(feeder)
+    codes = np.arange(page * r, min((page + 1) * r, 1 << n))
+    return (codes[:, None] >> np.arange(n)) & 1
+
+
+def verdict_page(feeder: Feeder, page: int) -> list[tuple[bool, float, float]]:
+    """(feasible, served kW, weighted kW) of each row of ``page_states``.
+    Memoized on the feeder object under (rows, page), so every caller on it
+    shares the pages; a miss solves the page as one batch.
     """
-    pages = _network_index(feeder).pages
-    rows = pages.get((p, page))
+    pages, key = _network_index(feeder).pages, (batch_rows(feeder), page)
+    rows = pages.get(key)
     if rows is None:
-        codes = (page << p) + np.arange(1 << p)
-        v = solve_batch(feeder, (codes[:, None] >> np.arange(len(feeder.breakers))) & 1)
-        rows = pages[p, page] = list(zip(v.feasible.tolist(), v.served_kw.tolist(),
-                                         v.weighted_kw.tolist()))
+        v = solve_batch(feeder, page_states(feeder, page))
+        rows = pages[key] = list(zip(v.feasible.tolist(), v.served_kw.tolist(),
+                                     v.weighted_kw.tolist()))
     return rows
 
 

@@ -377,11 +377,11 @@ def test_criterion_9_oracle_self_consistency(ieee13):
     for _ in range(20):
         feeder = random_radial_feeder(rng, max_buses=8, max_breakers=6)
         naive = brute_force(feeder, method="naive")
-        gray = brute_force(feeder, method="gray")
+        paged = brute_force(feeder, method="decomposed")
         agree = agree and (
-            naive.best_states == gray.best_states
-            and naive.best_weighted_kw == gray.best_weighted_kw
-            and naive.feasible_count == gray.feasible_count
+            naive.best_states == paged.best_states
+            and naive.best_weighted_kw == paged.best_weighted_kw
+            and naive.feasible_count == paged.feasible_count
         )
     exhaustive = brute_force(ieee13, method="naive")
     decomposed = brute_force(ieee13, method="decomposed")
@@ -393,7 +393,7 @@ def test_criterion_9_oracle_self_consistency(ieee13):
     _verdict(
         9,
         agree and same,
-        "gray-code enumeration equals naive on 20 random feeders; "
+        "paged island enumeration equals naive on 20 random feeders; "
         "per-microgrid decomposition equals exhaustive search on ieee13 "
         f"({decomposed.best_served_kw:.0f} kW, "
         f"{decomposed.feasible_count} feasible)",

@@ -21,13 +21,14 @@ from gridrestore import (
     QNetwork,
     RestorationEnv,
     TrainingConfig,
+    brute_force,
     check_constraints,
     execute,
     islands,
     solve,
     train,
 )
-from gridrestore import powerflow
+from gridrestore import oracle, powerflow
 from reference import joined_islands, random_multi_generator_feeder, random_radial_feeder
 
 DEFAULT_CELLS = powerflow._BATCH_CELLS
@@ -463,12 +464,12 @@ def test_island_verdicts_equal_whole_feeder_solves(monkeypatch, ieee13, ieee123)
 
 
 def test_page_size_does_not_change_verdicts_or_training(monkeypatch, ieee123):
-    # One-row pages are the per-state memo; 7 x 45 cells give 4-row pages on
-    # the 45-bus, 10-breaker microgrid 1 and the default 64-row pages.
+    # One-row pages are the per-state memo; 7 x 45 cells give 7-row pages on
+    # the 45-bus, 10-breaker microgrid 1 and the default 91-row pages.
     states = np.random.default_rng(61).integers(0, 2, (300, 26)).astype(np.int8)
     cfg = TrainingConfig(episodes=5, hyper=Hyperparameters(seed=3, gamma=0.95),
                          schedule=EpsilonSchedule(decay=0.004))
-    outcomes, page_bits = [], []
+    outcomes, page_rows = [], []
     for cells in (1, 7 * 45, DEFAULT_CELLS):
         monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
         env = RestorationEnv(ieee123)
@@ -476,21 +477,23 @@ def test_page_size_does_not_change_verdicts_or_training(monkeypatch, ieee123):
         models, logs = train(ieee123, cfg)
         weights = [w.tobytes() for pair in models for w in (*pair.main.weights, *pair.main.biases)]
         outcomes.append((verdicts, logs, weights))
-        page_bits.append(env._page_bits)
-    assert page_bits == [[0] * 5, [2, 3, 3, 3, 3], [6, 5, 3, 3, 5]]
+        page_rows.append(env._page_rows)
+    assert page_rows == [[1] * 5, [7, 12, 18, 19, 15], [91, 163, 240, 256, 204]]
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-def count_page_fills(monkeypatch):
-    """Record (feeder, rows) of every ``solve_batch`` call a page fill makes."""
+def count_page_fills(monkeypatch, module=powerflow):
+    """Record (feeder, first code, rows) of every ``solve_batch`` call made
+    through ``module``: the page fills, for ``powerflow``."""
     fills = []
     inner = powerflow.solve_batch
 
     def counting(feeder, states):
-        fills.append((feeder, len(states)))
+        first = int(states[0] @ (1 << np.arange(states.shape[1])))  # row 0's code
+        fills.append((feeder, first, len(states)))
         return inner(feeder, states)
 
-    monkeypatch.setattr(powerflow, "solve_batch", counting)
+    monkeypatch.setattr(module, "solve_batch", counting)
     return fills
 
 
@@ -542,7 +545,7 @@ def test_masked_env_requires_feasible_all_open(monkeypatch, fresh_feeder):
         RestorationEnv(feeder)
     env = RestorationEnv(feeder, reward_mode="penalty")
     verdicts = [env._feasibility(s) for s in all_states]
-    assert fills and {id(f) for f, _ in fills} <= {id(i.feeder) for i in islands(feeder)}
+    assert fills and {id(f) for f, *_ in fills} <= {id(i.feeder) for i in islands(feeder)}
     assert verdicts == [whole_feeder_verdict(feeder, s) for s in all_states] != warm
     fills.clear()
     RestorationEnv(base)
@@ -554,28 +557,54 @@ def test_masked_env_requires_feasible_all_open(monkeypatch, fresh_feeder):
 
 
 def test_pages_of_different_sizes_never_mix(monkeypatch, fresh_feeder):
-    # Island pages of 64/32/8/8/32 rows, 4/8/8/8/8 rows and 1 row on one
-    # feeder object: each size fills pages of its own, and islands whose
-    # size is unchanged (3 bits under both of the first two) read the pages
-    # already filled.
+    # Island pages of 91/163/240/256/204 rows, 7/12/18/19/15 rows and 1 row
+    # on one feeder object: each size fills pages of its own, and a return
+    # to the first size reads the pages already filled.
     feeder = fresh_feeder("ieee123")
     states = np.random.default_rng(61).integers(0, 2, (300, 26)).astype(np.int8)
     fills = count_page_fills(monkeypatch)
     outcomes = []
-    for cells, refilled in ((DEFAULT_CELLS, {0, 1, 2, 3, 4}), (7 * 45, {0, 1, 4}),
-                            (1, {0, 1, 2, 3, 4})):
+    for cells, refilled in ((DEFAULT_CELLS, {0, 1, 2, 3, 4}), (7 * 45, {0, 1, 2, 3, 4}),
+                            (1, {0, 1, 2, 3, 4}), (DEFAULT_CELLS, set())):
         monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
         fills.clear()
         env = RestorationEnv(feeder)
         outcomes.append([env._feasibility(s) for s in states])
-        rows = {id(sub): 1 << p for (_, sub), p in zip(env._islands, env._page_bits)}
-        assert all(n == rows[id(f)] for f, n in fills)
-        filled = {k for k, (_, sub) in enumerate(env._islands) if any(f is sub for f, _ in fills)}
+        rows = {id(sub): r for (_, sub), r in zip(env._islands, env._page_rows)}
+        assert all(first % rows[id(f)] == 0 and n == min(rows[id(f)], 2 ** f.n_breakers - first)
+                   for f, first, n in fills)
+        filled = {k for k, (_, sub) in enumerate(env._islands) if any(f is sub for f, *_ in fills)}
         assert filled == refilled
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
     for _, sub in islands(feeder):
         pages = powerflow._network_index(sub).pages
-        assert all(len(rows) == 1 << p for (p, _), rows in pages.items())
+        assert all(len(v) == min(r, 2 ** sub.n_breakers - page * r)
+                   for (r, page), v in pages.items())
+
+
+def test_oracle_solves_the_pages_an_environment_fills(monkeypatch, fresh_feeder):
+    # The oracle streams every island page through solve_batch without
+    # keeping it; an environment that reads all 1,104 island sub-states
+    # fills exactly the same pages, as (island, first code, rows).
+    feeder = fresh_feeder("ieee123")
+    index = {id(sub): k for k, (_, sub) in enumerate(islands(feeder))}
+    batches = count_page_fills(monkeypatch, oracle)
+    brute_force(feeder)
+    assert not any(powerflow._network_index(sub).pages for _, sub in islands(feeder))
+    fills = count_page_fills(monkeypatch)
+    env = RestorationEnv(feeder)
+    for code in range(2 ** 10):  # each island's codes cycle within the largest's 2^10
+        states = np.zeros(26, dtype=np.int8)
+        for positions, _ in islands(feeder):
+            sub_code = code % 2 ** len(positions)
+            states[list(positions)] = (sub_code >> np.arange(len(positions))) & 1
+        env._feasibility(states)
+    solved, filled = (sorted((index[id(f)], first, n) for f, first, n in calls)
+                      for calls in (batches, fills))
+    assert solved == filled
+    assert len(solved) == 16 and sum(n for *_, n in solved) == 1104
+    assert [(first, n) for k, first, n in solved if k == 0] == [
+        *((91 * page, 91) for page in range(11)), (1001, 23)]
 
 
 def test_the_memo_goes_with_its_feeder(fresh_feeder):

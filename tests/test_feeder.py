@@ -168,6 +168,17 @@ def test_parse_errors():
         load_feeder(json.dumps({"format_version": 99}))
 
 
+@pytest.mark.parametrize("partition, message", [
+    ({"00": ["cb1", "cb2", "cb3", "cb4"], "01": []}, "key '00' must be written as 0"),
+    ({"0": "cb1", "1": []}, "partition '0' must be a list"),
+], ids=["zero-padded-keys", "string-group"])
+def test_malformed_partition_is_a_parse_error(ieee13, partition, message):
+    doc = json.loads(serialize_feeder(ieee13))
+    doc["partition"] = partition
+    with pytest.raises(FeederParseError, match=message):
+        load_feeder(json.dumps(doc))
+
+
 def test_validation_error_lists_violations(ieee13):
     doc = json.loads(serialize_feeder(ieee13))
     doc["loads"][0]["weight"] = 2.0

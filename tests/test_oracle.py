@@ -18,10 +18,9 @@ from gridrestore import (
     check_constraints,
     decomposed_optimum,
     islands,
-    restored_power,
     solve,
 )
-from gridrestore import powerflow
+from gridrestore import oracle, powerflow
 from gridrestore.oracle import load_result, save_result
 from reference import (
     joined_islands,
@@ -56,6 +55,7 @@ def test_ieee13_optimum_matches_case_study(ieee13):
 
 
 def test_ieee13_strategies_agree(ieee13):
+    # "gray" and "auto" stay accepted names of the decomposed enumerator.
     naive = brute_force(ieee13, method="naive")
     gray = brute_force(ieee13, method="gray")
     decomposed = brute_force(ieee13, method="decomposed")
@@ -78,6 +78,7 @@ def test_ieee123_decomposed_optimum(ieee123):
 
 
 def test_gray_equals_naive_on_random_feeders():
+    # "gray" is an accepted name of the decomposed enumerator.
     rng = np.random.default_rng(17)
     for _ in range(20):
         feeder = random_radial_feeder(rng, max_buses=8, max_breakers=6)
@@ -90,7 +91,7 @@ def test_matches_recursive_reference_maximizer():
     rng = np.random.default_rng(29)
     for _ in range(20):
         feeder = random_radial_feeder(rng, max_buses=8, max_breakers=6)
-        result = brute_force(feeder, method="gray")
+        result = brute_force(feeder)
         states, weighted, served = recursive_best(feeder)
         assert result.best_states == states
         assert result.best_weighted_kw == pytest.approx(weighted, abs=1e-9)
@@ -151,13 +152,50 @@ def test_breaker_cap_enforced():
         generators=(Generator("g", "a", 0.0, 500.0, 0.0, 300.0),),
         partition=MicrogridPartition((tuple(b.id for b in breakers),)),
     )
-    with pytest.raises(TooManyBreakers):
+    with pytest.raises(TooManyBreakers, match="the island of generators g has 27"):
+        brute_force(feeder)
+    with pytest.raises(TooManyBreakers, match="27 breakers"):
+        brute_force(feeder, method="naive")
+
+
+def test_breaker_cap_applies_per_island(monkeypatch):
+    # Islands of 2 and 1 breakers: decomposed costs 2^2 + 2^1 solves, so a
+    # cap of 2 admits it, while naive still counts all 3 breakers.
+    feeder = Feeder(
+        name="capped",
+        s_base_kva=1000.0,
+        v_base_kv=4.16,
+        buses=(Bus("a"), Bus("b"), Bus("c"), Bus("d"), Bus("e")),
+        lines=(
+            Line("l1", "a", "b", 0.001, 0.002, 500.0),
+            Line("l2", "a", "c", 0.001, 0.002, 500.0),
+            Line("l3", "d", "e", 0.001, 0.002, 500.0),
+        ),
+        breakers=(Breaker("cb1", "l1", 0), Breaker("cb2", "l2", 0), Breaker("cb3", "l3", 0)),
+        loads=(
+            LoadPoint("ld1", "b", 50.0, 15.0, 1.0, "cb1"),
+            LoadPoint("ld2", "c", 60.0, 18.0, 1.0, "cb2"),
+            LoadPoint("ld3", "e", 70.0, 21.0, 1.0, "cb3"),
+        ),
+        generators=(
+            Generator("g1", "a", 0.0, 300.0, 0.0, 200.0),
+            Generator("g2", "d", 0.0, 300.0, 0.0, 200.0),
+        ),
+        partition=MicrogridPartition((("cb1", "cb2"), ("cb3",))),
+    )
+    monkeypatch.setattr(oracle, "MAX_BREAKERS", 2)
+    result = brute_force(feeder)
+    assert (result.best_served_kw, result.solved_count) == (180.0, 4 + 2)
+    with pytest.raises(TooManyBreakers, match="3 breakers"):
+        brute_force(feeder, method="naive")
+    monkeypatch.setattr(oracle, "MAX_BREAKERS", 1)
+    with pytest.raises(TooManyBreakers, match="generators g1 has 2 breakers"):
         brute_force(feeder)
 
 
 def test_decomposition_is_exact_on_entangled_microgrids():
     # Two breakers on one island split across two agents: one island, so
-    # decomposed enumerates the whole feeder and auto prefers gray.
+    # decomposed enumerates the whole feeder.
     feeder = Feeder(
         name="entangled",
         s_base_kva=1000.0,
@@ -179,7 +217,7 @@ def test_decomposition_is_exact_on_entangled_microgrids():
     assert strip_method(decomposed_optimum(feeder)) == strip_method(
         brute_force(feeder, method="naive")
     )
-    assert brute_force(feeder).method == "gray"
+    assert brute_force(feeder).method == "decomposed"
 
 
 def assert_matches_naive(feeder, result):
@@ -290,11 +328,11 @@ def test_strategies_agree_on_multi_generator_feeders():
 
 
 def test_solved_count_per_method(ieee13, ieee123):
-    states = [tuple((i >> b) & 1 for b in range(9)) for i in range(512)]
-    kept = sum(restored_power(ieee13, s)[0] <= ieee13.total_capacity_kw() + 1e-6 for s in states)
-    counts = {m: brute_force(ieee13, method=m).solved_count for m in ("naive", "gray", "decomposed")}
-    assert counts == {"naive": 512, "gray": kept, "decomposed": 16 + 32}
-    assert kept < 512
+    methods = ("naive", "auto", "gray", "decomposed")
+    results = {m: brute_force(ieee13, method=m) for m in methods}
+    assert {m: r.solved_count for m, r in results.items()} == {
+        "naive": 512, "auto": 16 + 32, "gray": 16 + 32, "decomposed": 16 + 32}
+    assert {r.method for r in results.values()} == {"naive", "decomposed"}
     result = brute_force(ieee123)
     assert (result.solved_count, result.evaluated_count) == (1104, 2**26)
 
