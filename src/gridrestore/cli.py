@@ -4,17 +4,14 @@ Subcommands: train, eval, oracle, compare, powerflow, validate. Every default
 is visible through ``--print-config``; flags override config-file values,
 which override built-in defaults, and the fully resolved configuration is
 written next to the outputs for provenance. Seeds are mandatory for training
-so that every emitted artifact is reproducible. The only environment variable
-read is GRIDRESTORE_VERBOSE (progress chatter to stderr); everything semantic
-lives in flags and config files.
+so that every emitted artifact is reproducible. No environment variable is
+read; everything lives in flags and config files.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,6 +22,7 @@ from .oracle import brute_force, load_result, save_result
 from .powerflow import check_constraints, solve
 from .training import (
     TrainingConfig,
+    _write_csv,
     compare,
     execute,
     load_models,
@@ -34,8 +32,6 @@ from .training import (
     write_episodes_csv,
     write_trace_csv,
 )
-
-_VERBOSE = bool(os.environ.get("GRIDRESTORE_VERBOSE"))
 
 TRAIN_DEFAULTS = {
     "feeder": None,
@@ -57,11 +53,6 @@ TRAIN_DEFAULTS = {
     "seed": None,
     "execute_steps": 16,
 }
-
-
-def _say(msg: str) -> None:
-    if _VERBOSE:
-        print(msg, file=sys.stderr)
 
 
 def _resolve_feeder(name_or_path: str) -> Feeder:
@@ -182,7 +173,6 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_config(out, resolved)
-    _say(f"training {resolved['feeder']} for {cfg.episodes} episodes")
     models, logs = train(feeder, cfg)
     write_episodes_csv(out / "episodes.csv", logs)
     save_models(out, feeder, cfg, models)
@@ -217,20 +207,16 @@ def _cmd_oracle(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cache_path = out / "oracle.json"
-    if not args.force:
-        cached = load_result(cache_path, feeder)
-        if cached is not None:
-            print(f"cached: best {cached.best_weighted_kw:.1f} kW weighted "
-                  f"({cached.best_served_kw:.1f} kW served), "
-                  f"{cached.feasible_count} feasible of {cached.evaluated_count}, "
-                  f"{cached.solved_count} solved")
-            return 0
-    result = brute_force(feeder, method=args.method)
-    save_result(cache_path, feeder, result)
-    print(f"best {result.best_weighted_kw:.1f} kW weighted "
+    result = None if args.force else load_result(cache_path, feeder)
+    prefix, suffix = "cached: ", ""
+    if result is None:
+        result = brute_force(feeder, method=args.method)
+        save_result(cache_path, feeder, result)
+        prefix, suffix = "", f" [{result.method}]"
+    print(f"{prefix}best {result.best_weighted_kw:.1f} kW weighted "
           f"({result.best_served_kw:.1f} kW served), "
           f"{result.feasible_count} feasible of {result.evaluated_count}, "
-          f"{result.solved_count} solved [{result.method}]")
+          f"{result.solved_count} solved{suffix}")
     return 0
 
 
@@ -285,18 +271,11 @@ def _cmd_powerflow(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "voltages.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bus", "voltage"])
-            for bus in feeder.buses:
-                w.writerow([bus.id, format(solution.bus_voltages[bus.id], ".10g")])
-        with open(out / "flows.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["line", "p", "q", "s"])
-            for line in feeder.lines:
-                p, q, s = solution.line_flows.get(line.id, (0.0, 0.0, 0.0))
-                w.writerow([line.id, format(p, ".10g"), format(q, ".10g"),
-                            format(s, ".10g")])
+        _write_csv(out / "voltages.csv", ["bus", "voltage"],
+                   ((bus.id, solution.bus_voltages[bus.id]) for bus in feeder.buses))
+        _write_csv(out / "flows.csv", ["line", "p", "q", "s"],
+                   ((line.id, *solution.line_flows.get(line.id, (0.0, 0.0, 0.0)))
+                    for line in feeder.lines))
     return 0 if report.all_ok else 3
 
 
@@ -344,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force restoration optimum")
     p.add_argument("--feeder", required=True)
     p.add_argument("--method", default="decomposed",
-                   choices=["auto", "naive", "gray", "decomposed"],
-                   help="naive solves every state; auto and gray are other names of decomposed")
+                   choices=["naive", "decomposed"],
+                   help="naive solves every whole-feeder state; decomposed each island's")
     p.add_argument("--force", action="store_true", help="ignore a cached result")
     p.add_argument("--out", default="runs/oracle", help="output directory")
     p.set_defaults(func=_cmd_oracle)

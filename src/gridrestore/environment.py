@@ -11,11 +11,11 @@ the widest agent, the layout of the learner's replay ring.
 Verdicts are solved and memoized per island (see ``powerflow.islands``): a
 state is feasible when every island's sub-state is. An island's bits, read as
 an integer code (bit j is its j-th breaker), give a page and a row by
-``divmod(code, powerflow.batch_rows(island))``; ``powerflow.verdict_page``
-solves the page's rows as one batch at its first lookup, the same batches the
-oracle solves. The pages belong to the feeder object, shared by every
-environment on it and freed with it; so in ``compare`` the first variant pays
-the page fills.
+``divmod(code, rows)``, rows being ``powerflow.batch_rows(island)`` as read
+at construction; ``powerflow.verdict_page`` solves the page's rows as one
+batch at its first lookup, the same batches the oracle solves. The pages
+belong to the feeder object, shared by every environment on it and freed
+with it; so in ``compare`` the first variant pays the page fills.
 
 Two reward modes:
 
@@ -104,8 +104,8 @@ class RestorationEnv:
         # the state last changed; a step of that joint reuses them.
         self._validated: tuple | None = None
         if reward_mode == "masked":
-            for _, sub in self._islands:
-                if not verdict_page(sub, 0)[0][0]:  # row 0 of page 0: the island all open
+            for (_, sub), rows in zip(self._islands, self._page_rows):
+                if not verdict_page(sub, 0, rows)[0][0]:  # row 0 of page 0: the island all open
                     raise ValueError(
                         f"the island of generators {', '.join(g.id for g in sub.generators)} "
                         "violates a constraint with all breakers open; masked mode needs "
@@ -153,7 +153,7 @@ class RestorationEnv:
         for (_, sub), code, rows in zip(self._islands, self._place.dot(states).tolist(),
                                         self._page_rows):
             page, row = divmod(code, rows)
-            f, s, w = verdict_page(sub, page)[row]
+            f, s, w = verdict_page(sub, page, rows)[row]
             ok, served, weighted = ok and f, served + s, weighted + w
         return ok, served, weighted
 

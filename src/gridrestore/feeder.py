@@ -5,13 +5,15 @@ sit on lines; a load is served when every breaker on the path from its bus to
 a generator is closed. The microgrid partition assigns every breaker to
 exactly one agent. Feeder values are immutable after construction and safe to
 share across threads and processes.
-"""
 
-from __future__ import annotations
+The element dataclasses are the document schema: annotations stay evaluated
+(no ``from __future__ import annotations``) so the reader can cast each value
+to its field's declared type.
+"""
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 FORMAT_VERSION = 1
 
@@ -128,6 +130,19 @@ class Feeder:
         return sum(g.p_max for g in self.generators)
 
 
+# (document key = Feeder attribute, kind named in messages, element dataclass),
+# in document order.
+_ELEMENTS = (
+    ("buses", "bus", Bus),
+    ("lines", "line", Line),
+    ("breakers", "breaker", Breaker),
+    ("loads", "load", LoadPoint),
+    ("generators", "generator", Generator),
+)
+# Fields a document may omit although their dataclass gives no default.
+_DOCUMENT_DEFAULTS = {"q_rated": 0.0, "p_min": 0.0, "q_min": 0.0, "q_max": 0.0}
+
+
 # -- validation ----------------------------------------------------------------
 
 
@@ -150,14 +165,8 @@ def validate_feeder(feeder: Feeder) -> list[str]:
     line_ids = {ln.id for ln in feeder.lines}
     breaker_ids = {b.id for b in feeder.breakers}
 
-    for kind, ids in (
-        ("bus", [b.id for b in feeder.buses]),
-        ("line", [ln.id for ln in feeder.lines]),
-        ("breaker", [b.id for b in feeder.breakers]),
-        ("load", [ld.id for ld in feeder.loads]),
-        ("generator", [g.id for g in feeder.generators]),
-    ):
-        for d in _duplicates(ids):
+    for key, kind, _ in _ELEMENTS:
+        for d in _duplicates(e.id for e in getattr(feeder, key)):
             v.append(f"duplicate {kind} id {d}")
 
     if feeder.s_base_kva <= 0:
@@ -250,13 +259,26 @@ def validate_feeder(feeder: Feeder) -> list[str]:
 # A feeder document is a JSON object (textual, diff-able) with format_version 1,
 # top-level arrays buses/lines/breakers/loads/generators and a partition object
 # mapping agent ids "0".."m-1" to ordered breaker-id lists. Units are kW, kvar
-# and per-unit impedances on the declared (s_base_kva, v_base_kv) base.
+# and per-unit impedances on the declared (s_base_kva, v_base_kv) base. Each
+# element record holds its dataclass's fields, in field order; a field may be
+# omitted when it has a dataclass default or a ``_DOCUMENT_DEFAULTS`` entry.
 
 
-def _require(record: dict, key: str, where: str):
-    if key not in record:
-        raise FeederParseError(f"missing '{key}' in {where}")
-    return record[key]
+def _record(cls, kind: str, record):
+    """One element of ``cls`` from its document record, each value cast to
+    the field's declared type."""
+    values = {}
+    for f in fields(cls):
+        if f.name in record:
+            value = record[f.name]
+        elif f.default is not MISSING:
+            value = f.default
+        elif f.name in _DOCUMENT_DEFAULTS:
+            value = _DOCUMENT_DEFAULTS[f.name]
+        else:
+            raise FeederParseError(f"missing '{f.name}' in {kind}")
+        values[f.name] = f.type(value)
+    return cls(**values)
 
 
 def load_feeder(source) -> Feeder:
@@ -277,60 +299,14 @@ def load_feeder(source) -> Feeder:
         raise FeederParseError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise FeederParseError("top level of a feeder document must be an object")
-    version = _require(doc, "format_version", "document")
-    if version != FORMAT_VERSION:
-        raise FeederParseError(f"unsupported format_version {version}")
+    if "format_version" not in doc:
+        raise FeederParseError("missing 'format_version' in document")
+    if doc["format_version"] != FORMAT_VERSION:
+        raise FeederParseError(f"unsupported format_version {doc['format_version']}")
 
     try:
-        buses = tuple(
-            Bus(
-                id=str(_require(r, "id", "bus")),
-                v_min=float(r.get("v_min", DEFAULT_V_MIN)),
-                v_max=float(r.get("v_max", DEFAULT_V_MAX)),
-            )
-            for r in doc.get("buses", [])
-        )
-        lines = tuple(
-            Line(
-                id=str(_require(r, "id", "line")),
-                from_bus=str(_require(r, "from_bus", "line")),
-                to_bus=str(_require(r, "to_bus", "line")),
-                resistance=float(_require(r, "resistance", "line")),
-                reactance=float(_require(r, "reactance", "line")),
-                s_rating=float(_require(r, "s_rating", "line")),
-            )
-            for r in doc.get("lines", [])
-        )
-        breakers = tuple(
-            Breaker(
-                id=str(_require(r, "id", "breaker")),
-                line_id=str(_require(r, "line_id", "breaker")),
-                state=int(r.get("state", 0)),
-            )
-            for r in doc.get("breakers", [])
-        )
-        loads = tuple(
-            LoadPoint(
-                id=str(_require(r, "id", "load")),
-                bus_id=str(_require(r, "bus_id", "load")),
-                p_rated=float(_require(r, "p_rated", "load")),
-                q_rated=float(r.get("q_rated", 0.0)),
-                weight=float(r.get("weight", 1.0)),
-                breaker_id=str(r.get("breaker_id", "")),
-            )
-            for r in doc.get("loads", [])
-        )
-        generators = tuple(
-            Generator(
-                id=str(_require(r, "id", "generator")),
-                bus_id=str(_require(r, "bus_id", "generator")),
-                p_min=float(r.get("p_min", 0.0)),
-                p_max=float(_require(r, "p_max", "generator")),
-                q_min=float(r.get("q_min", 0.0)),
-                q_max=float(r.get("q_max", 0.0)),
-            )
-            for r in doc.get("generators", [])
-        )
+        elements = {key: tuple(_record(cls, kind, r) for r in doc.get(key, []))
+                    for key, kind, cls in _ELEMENTS}
     except (TypeError, ValueError) as e:
         if isinstance(e, FeederError):
             raise
@@ -358,12 +334,8 @@ def load_feeder(source) -> Feeder:
         name=str(doc.get("name", "")),
         s_base_kva=float(doc.get("s_base_kva", 1000.0)),
         v_base_kv=float(doc.get("v_base_kv", 1.0)),
-        buses=buses,
-        lines=lines,
-        breakers=breakers,
-        loads=loads,
-        generators=generators,
         partition=partition,
+        **elements,
     )
     violations = validate_feeder(feeder)
     if violations:
@@ -380,46 +352,7 @@ def serialize_feeder(feeder: Feeder) -> str:
         "name": feeder.name,
         "s_base_kva": feeder.s_base_kva,
         "v_base_kv": feeder.v_base_kv,
-        "buses": [
-            {"id": b.id, "v_min": b.v_min, "v_max": b.v_max} for b in feeder.buses
-        ],
-        "lines": [
-            {
-                "id": ln.id,
-                "from_bus": ln.from_bus,
-                "to_bus": ln.to_bus,
-                "resistance": ln.resistance,
-                "reactance": ln.reactance,
-                "s_rating": ln.s_rating,
-            }
-            for ln in feeder.lines
-        ],
-        "breakers": [
-            {"id": b.id, "line_id": b.line_id, "state": b.state}
-            for b in feeder.breakers
-        ],
-        "loads": [
-            {
-                "id": ld.id,
-                "bus_id": ld.bus_id,
-                "p_rated": ld.p_rated,
-                "q_rated": ld.q_rated,
-                "weight": ld.weight,
-                "breaker_id": ld.breaker_id,
-            }
-            for ld in feeder.loads
-        ],
-        "generators": [
-            {
-                "id": g.id,
-                "bus_id": g.bus_id,
-                "p_min": g.p_min,
-                "p_max": g.p_max,
-                "q_min": g.q_min,
-                "q_max": g.q_max,
-            }
-            for g in feeder.generators
-        ],
+        **{key: [asdict(e) for e in getattr(feeder, key)] for key, _, _ in _ELEMENTS},
         "partition": {
             str(k): list(ids) for k, ids in enumerate(feeder.partition.assignments)
         },

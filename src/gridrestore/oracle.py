@@ -18,7 +18,6 @@ Two strategies:
     2^3 + 2^5 island sub-states instead of 2^26 on the 123-node study feeder.
     Each island's pages (``powerflow.page_states``, the environment's verdict
     pages) are solved one ``powerflow.solve_batch`` call each and not kept.
-    The names ``auto`` and ``gray`` select it too.
 
 ``evaluated_count`` is always 2^B, the configurations the result covers;
 ``solved_count`` is how many power flows were actually run.
@@ -92,8 +91,9 @@ def decomposed_optimum(feeder: Feeder) -> OracleResult:
     feasible_product, solved = 1, 0
     for k, (positions, sub) in enumerate(islands(feeder)):
         best, feasible = None, 0
-        for page in range((2 ** sub.n_breakers - 1) // batch_rows(sub) + 1):
-            rows = page_states(sub, page)
+        r = batch_rows(sub)
+        for page in range((2 ** sub.n_breakers - 1) // r + 1):
+            rows = page_states(sub, page, r)
             verdicts = solve_batch(sub, rows)
             ok, weighted = verdicts.feasible, verdicts.weighted_kw
             feasible, solved = feasible + int(ok.sum()), solved + len(rows)
@@ -119,7 +119,7 @@ def brute_force(feeder: Feeder, method: str = "decomposed") -> OracleResult:
     """Feasible maximizer of weighted restored power over all 2^B states."""
     if method == "naive":
         return _brute_force_naive(feeder)
-    if method in ("auto", "gray", "decomposed"):
+    if method == "decomposed":
         return decomposed_optimum(feeder)
     raise ValueError(f"unknown oracle method {method!r}")
 

@@ -459,26 +459,27 @@ def solve_batch(feeder: Feeder, states) -> BatchVerdicts:
     return BatchVerdicts(_checks(idx, sw, served)[0], served, weighted, sw.iterations)
 
 
-def page_states(feeder: Feeder, page: int) -> np.ndarray:
-    """State rows of the r = ``batch_rows(feeder)`` codes from ``page * r``,
-    the last page cut at 2^breakers; bit j of a code is breaker j."""
-    n, r = len(feeder.breakers), batch_rows(feeder)
-    codes = np.arange(page * r, min((page + 1) * r, 1 << n))
+def page_states(feeder: Feeder, page: int, rows: int) -> np.ndarray:
+    """State rows of the ``rows`` codes from ``page * rows``, the last page
+    cut at 2^breakers; bit j of a code is breaker j."""
+    n = len(feeder.breakers)
+    codes = np.arange(page * rows, min((page + 1) * rows, 1 << n))
     return (codes[:, None] >> np.arange(n)) & 1
 
 
-def verdict_page(feeder: Feeder, page: int) -> list[tuple[bool, float, float]]:
+def verdict_page(feeder: Feeder, page: int, rows: int) -> list[tuple[bool, float, float]]:
     """(feasible, served kW, weighted kW) of each row of ``page_states``.
     Memoized on the feeder object under (rows, page), so every caller on it
-    shares the pages; a miss solves the page as one batch.
+    shares the pages; a miss solves the page as one batch. The caller fixes
+    ``rows`` (usually ``batch_rows(feeder)``) and indexes rows of that page.
     """
-    pages, key = _network_index(feeder).pages, (batch_rows(feeder), page)
-    rows = pages.get(key)
-    if rows is None:
-        v = solve_batch(feeder, page_states(feeder, page))
-        rows = pages[key] = list(zip(v.feasible.tolist(), v.served_kw.tolist(),
-                                     v.weighted_kw.tolist()))
-    return rows
+    pages = _network_index(feeder).pages
+    verdicts = pages.get((rows, page))
+    if verdicts is None:
+        v = solve_batch(feeder, page_states(feeder, page, rows))
+        verdicts = pages[rows, page] = list(zip(v.feasible.tolist(), v.served_kw.tolist(),
+                                                v.weighted_kw.tolist()))
+    return verdicts
 
 
 def solve(feeder: Feeder, states) -> PowerFlowSolution:

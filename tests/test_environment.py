@@ -582,6 +582,21 @@ def test_pages_of_different_sizes_never_mix(monkeypatch, fresh_feeder):
                    for (r, page), v in pages.items())
 
 
+def test_an_environment_keeps_its_page_rows_when_the_budget_changes(monkeypatch, fresh_feeder):
+    # An environment fixes each island's page rows at construction. A budget
+    # changed afterwards (7-row pages on microgrid 1) neither moves its row
+    # indices onto pages of the new size nor changes a verdict, for an
+    # environment with filled pages and for one without.
+    states = np.random.default_rng(67).integers(0, 2, (300, 26)).astype(np.int8)
+    warm = RestorationEnv(fresh_feeder("ieee123"))
+    expected = [warm._feasibility(s) for s in states]
+    cold = RestorationEnv(fresh_feeder("ieee123"), reward_mode="penalty")
+    monkeypatch.setattr(powerflow, "_BATCH_CELLS", 7 * 45)
+    assert [warm._feasibility(s) for s in states] == expected
+    assert [cold._feasibility(s) for s in states] == expected
+    assert cold._page_rows == warm._page_rows == [91, 163, 240, 256, 204]
+
+
 def test_oracle_solves_the_pages_an_environment_fills(monkeypatch, fresh_feeder):
     # The oracle streams every island page through solve_batch without
     # keeping it; an environment that reads all 1,104 island sub-states

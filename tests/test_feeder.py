@@ -193,6 +193,49 @@ def test_feeder_hash_tracks_content(ieee13):
     assert h != feeder_hash(builtin_feeder("ieee123"))
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("ieee13", "d6c22f63870a1ae4ff6c9748f08612388da8f133093fcc22014d03f9c45097b2"),
+    ("ieee123", "6339a6c9ac1584dbe7641eecf8c0f65eaf6aef4e9340dc991d928ba0a332ccbc"),
+])
+def test_builtin_feeder_hash_is_pinned(name, digest):
+    # Oracle result caches key on this hash: any change to the serialized
+    # document bytes of a built-in orphans every cached result.
+    assert feeder_hash(builtin_feeder(name)) == digest
+
+
+# The document schema written out on its own: each element array's record
+# fields, and the default of each field a record may omit.
+REQUIRED = object()
+SCHEMA = {
+    ("buses", "bus"): {"id": REQUIRED, "v_min": 0.95, "v_max": 1.05},
+    ("lines", "line"): {"id": REQUIRED, "from_bus": REQUIRED, "to_bus": REQUIRED,
+                        "resistance": REQUIRED, "reactance": REQUIRED, "s_rating": REQUIRED},
+    ("breakers", "breaker"): {"id": REQUIRED, "line_id": REQUIRED, "state": 0},
+    ("loads", "load"): {"id": REQUIRED, "bus_id": REQUIRED, "p_rated": REQUIRED,
+                        "q_rated": 0.0, "weight": 1.0, "breaker_id": ""},
+    ("generators", "generator"): {"id": REQUIRED, "bus_id": REQUIRED, "p_min": 0.0,
+                                  "p_max": REQUIRED, "q_min": 0.0, "q_max": 0.0},
+}
+SCHEMA_FIELDS = [(key, kind, name, default)
+                 for (key, kind), record in SCHEMA.items() for name, default in record.items()]
+
+
+@pytest.mark.parametrize("key, kind, name, default", SCHEMA_FIELDS,
+                         ids=[f"{kind}.{name}" for _, kind, name, _ in SCHEMA_FIELDS])
+def test_a_record_missing_a_field_fails_or_takes_its_default(ieee13, key, kind, name, default):
+    doc = json.loads(serialize_feeder(ieee13))
+    del doc[key][0][name]
+    if default is REQUIRED:
+        with pytest.raises(FeederParseError, match=f"^missing '{name}' in {kind}$"):
+            load_feeder(json.dumps(doc))
+        return
+    loaded = getattr(load_feeder(json.dumps(doc)), key)
+    original = getattr(ieee13, key)
+    value = getattr(loaded[0], name)
+    assert value == default and type(value) is type(default)
+    assert loaded == (dataclasses.replace(original[0], **{name: default}), *original[1:])
+
+
 def test_feeder_rebuilds_from_its_fields_after_a_solve(ieee13):
     # The solver's network index is not kept in the feeder's __dict__.
     feeder = dataclasses.replace(ieee13)

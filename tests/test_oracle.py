@@ -55,11 +55,15 @@ def test_ieee13_optimum_matches_case_study(ieee13):
 
 
 def test_ieee13_strategies_agree(ieee13):
-    # "gray" and "auto" stay accepted names of the decomposed enumerator.
     naive = brute_force(ieee13, method="naive")
-    gray = brute_force(ieee13, method="gray")
     decomposed = brute_force(ieee13, method="decomposed")
-    assert strip_method(naive) == strip_method(gray) == strip_method(decomposed)
+    assert strip_method(naive) == strip_method(decomposed)
+
+
+@pytest.mark.parametrize("method", ["auto", "gray"])
+def test_retired_method_names_are_rejected(ieee13, method):
+    with pytest.raises(ValueError, match=f"unknown oracle method '{method}'"):
+        brute_force(ieee13, method=method)
 
 
 def test_auto_uses_decomposition_on_islands(ieee13, ieee123):
@@ -77,14 +81,13 @@ def test_ieee123_decomposed_optimum(ieee123):
     assert check_constraints(ieee123, solve(ieee123, result.best_states)).all_ok
 
 
-def test_gray_equals_naive_on_random_feeders():
-    # "gray" is an accepted name of the decomposed enumerator.
+def test_decomposed_equals_naive_on_random_feeders():
     rng = np.random.default_rng(17)
     for _ in range(20):
         feeder = random_radial_feeder(rng, max_buses=8, max_breakers=6)
         naive = brute_force(feeder, method="naive")
-        gray = brute_force(feeder, method="gray")
-        assert strip_method(naive) == strip_method(gray)
+        decomposed = brute_force(feeder, method="decomposed")
+        assert strip_method(naive) == strip_method(decomposed)
 
 
 def test_matches_recursive_reference_maximizer():
@@ -316,23 +319,19 @@ def test_strategies_agree_on_multi_generator_feeders():
         try:
             naive = brute_force(feeder, method="naive")
         except RuntimeError:
-            for method in ("gray", "decomposed"):
-                with pytest.raises(RuntimeError):
-                    brute_force(feeder, method=method)
+            with pytest.raises(RuntimeError):
+                brute_force(feeder, method="decomposed")
             continue
-        gray = brute_force(feeder, method="gray")
         decomposed = brute_force(feeder, method="decomposed")
-        assert strip_method(naive) == strip_method(gray) == strip_method(decomposed)
+        assert strip_method(naive) == strip_method(decomposed)
         agreed += 1
     assert agreed >= 8
 
 
 def test_solved_count_per_method(ieee13, ieee123):
-    methods = ("naive", "auto", "gray", "decomposed")
-    results = {m: brute_force(ieee13, method=m) for m in methods}
-    assert {m: r.solved_count for m, r in results.items()} == {
-        "naive": 512, "auto": 16 + 32, "gray": 16 + 32, "decomposed": 16 + 32}
-    assert {r.method for r in results.values()} == {"naive", "decomposed"}
+    results = {m: brute_force(ieee13, method=m) for m in ("naive", "decomposed")}
+    assert {m: r.solved_count for m, r in results.items()} == {"naive": 512, "decomposed": 16 + 32}
+    assert [r.method for r in results.values()] == ["naive", "decomposed"]
     result = brute_force(ieee123)
     assert (result.solved_count, result.evaluated_count) == (1104, 2**26)
 
