@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Subcommands: train, eval, oracle, compare, powerflow, validate. Every default
-is visible through ``--print-config``; flags override config-file values,
-which override built-in defaults, and the fully resolved configuration is
-written next to the outputs for provenance. Seeds are mandatory for training
-so that every emitted artifact is reproducible. No environment variable is
-read; everything lives in flags and config files.
+Subcommands: train, eval, oracle, compare, powerflow, validate. ``SETTINGS``
+states the training settings once, with defaults read from ``TrainingConfig()``;
+``train``, ``eval`` and each ``compare`` variant resolve them on one path
+(defaults <- config file <- flags), and one reader casts every value, naming
+the key it cannot read. ``--print-config`` shows the result; ``train`` writes
+it next to its outputs. Seeds are mandatory. No environment variable is read.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import reduce
 from pathlib import Path
 
 from .agent import EpsilonSchedule, Hyperparameters
 from .builtins import BUILTIN_NAMES, builtin_feeder
-from .feeder import Feeder, FeederError, load_feeder, validate_feeder
+from .feeder import (Feeder, FeederError, FeederReferenceError, FeederValidationError,
+                     load_feeder, validate_feeder)
 from .oracle import brute_force, load_result, save_result
 from .powerflow import check_constraints, solve
 from .training import (
@@ -33,29 +35,71 @@ from .training import (
     write_trace_csv,
 )
 
-TRAIN_DEFAULTS = {
-    "feeder": None,
-    "episodes": 500,
-    "steps": 16,
-    "sync_interval": 50,
-    "mask": "on",
-    "agents": "multi",
-    "penalty": -1.0,
-    "hidden": "64,64",
-    "gamma": 0.5,
-    "alpha": 0.5,
-    "eta": 0.05,
-    "batch_size": 32,
-    "capacity": 2000,
-    "eps_min": 0.01,
-    "eps_max": 1.0,
-    "decay": 0.02,
-    "seed": None,
-    "execute_steps": 16,
-}
+# One row per setting: config key, TrainingConfig attribute path (feeder and
+# execute_steps are not TrainingConfig fields) and flag help.
+SETTINGS = (
+    ("feeder", None, "built-in name (ieee13, ieee123) or document path"),
+    ("episodes", "episodes", "number of training episodes"),
+    ("steps", "steps_per_episode", "environment steps per episode"),
+    ("sync_interval", "sync_interval", "environment steps between target-network syncs"),
+    ("mask", "masking", "invalid-action masking; off switches to penalty rewards"),
+    ("agents", "agent_mode", "agent mode"),
+    ("penalty", "penalty", "penalty reward M when masking is off"),
+    ("hidden", "hidden_sizes", "hidden layer sizes, e.g. 64,64"),
+    ("gamma", "hyper.gamma", "discount factor"),
+    ("alpha", "hyper.alpha", "target blend rate"),
+    ("eta", "hyper.eta", "SGD step size"),
+    ("batch_size", "hyper.batch_size", "replay batch size"),
+    ("capacity", "hyper.capacity", "replay buffer capacity"),
+    ("eps_min", "schedule.eps_min", "epsilon floor"),
+    ("eps_max", "schedule.eps_max", "epsilon ceiling"),
+    ("decay", "schedule.decay", "epsilon decay rate per episode"),
+    ("seed", "hyper.seed", "run seed (required; no clock default)"),
+    ("execute_steps", None, "greedy rollout length used by eval"),
+)
+CHOICES = {"mask": ("on", "off"), "agents": ("multi", "single")}
+_EXPECTED = {int: "an integer", float: "a number", str: "a string", "agents": '"multi" or "single"',
+             bool: '"on", "off", true or false', tuple: 'layer sizes such as "64,64"'}
+
+
+def _written(value):
+    """A setting in its config-file form: mask "on"/"off", hidden "64,64"."""
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+
+# Each setting's value in TrainingConfig(), or eval's rollout length; its type
+# is the setting's type. A run names its feeder and seed, so neither has a default.
+_BASE = TrainingConfig()
+_TYPED = {"feeder": "", "execute_steps": 16}
+_TYPED.update((key, reduce(getattr, path.split("."), _BASE)) for key, path, _ in SETTINGS if path)
+DEFAULTS = {k: None if k in ("feeder", "seed") else _written(v) for k, v in _TYPED.items()}
+
+
+def _read(key: str, value, where: str = ""):
+    """One flag string or config-file value of ``key``, cast to its type."""
+    if value is None and DEFAULTS[key] is None:
+        return None  # feeder and seed stay unset until a command needs them
+    kind = type(_TYPED[key])
+    try:
+        if kind is bool and (isinstance(value, bool) or value in CHOICES[key]):
+            return value in (True, "on")
+        if kind is str and isinstance(value, str) and value in CHOICES.get(key, (value,)):
+            return value
+        if kind is tuple and isinstance(value, str):
+            return tuple(int(x) for x in value.replace(" ", "").split(",") if x)
+        if kind in (int, float) and (isinstance(value, str) or type(value) in (int, kind)):
+            return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    expected = _EXPECTED.get(key, _EXPECTED[kind])
+    raise ValueError(f"{where}{key} must be {expected}, not {json.dumps(value)}")
 
 
 def _resolve_feeder(name_or_path: str) -> Feeder:
+    if not name_or_path:
+        raise ValueError("--feeder is required")
     if name_or_path in BUILTIN_NAMES:
         return builtin_feeder(name_or_path)
     path = Path(name_or_path)
@@ -69,7 +113,7 @@ def _resolve_feeder(name_or_path: str) -> Feeder:
 
 
 def _read_config(path) -> dict:
-    """One JSON config file: an object whose keys are all ``TRAIN_DEFAULTS`` keys."""
+    """One JSON config file: an object of ``SETTINGS`` keys, each value read."""
     with open(path, encoding="utf-8") as fh:
         try:
             values = json.load(fh)
@@ -78,101 +122,50 @@ def _read_config(path) -> dict:
     if not isinstance(values, dict):
         raise ValueError(f"config file {path}: the top level must be a JSON object, "
                          f"not {type(values).__name__}")
-    unknown = set(values) - set(TRAIN_DEFAULTS)
+    unknown = set(values) - set(DEFAULTS)
     if unknown:
         raise ValueError(f"config file {path}: unknown config keys: {', '.join(sorted(unknown))}")
-    return values
+    return {k: _written(_read(k, v, f"config file {path}: ")) for k, v in values.items()}
 
 
-def _resolved_config(args) -> dict:
+def _resolved_config(args, config_path) -> dict:
     """defaults <- config file <- explicit flags, in increasing precedence."""
-    resolved = dict(TRAIN_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        resolved.update(_read_config(config_path))
-    for key in TRAIN_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+    flags = {k: _written(_read(k, v)) for k, v in vars(args).items()
+             if k in DEFAULTS and v is not None}
+    return {**DEFAULTS, **(_read_config(config_path) if config_path else {}), **flags}
 
 
 def _training_config(resolved: dict) -> TrainingConfig:
     if resolved.get("seed") is None:
-        raise ValueError("a seed is required (--seed or config file); "
-                         "runs must be reproducible")
-    hidden = tuple(
-        int(x) for x in str(resolved["hidden"]).replace(" ", "").split(",") if x
-    )
-    return TrainingConfig(
-        episodes=int(resolved["episodes"]),
-        steps_per_episode=int(resolved["steps"]),
-        sync_interval=int(resolved["sync_interval"]),
-        masking=str(resolved["mask"]).lower() in ("on", "true", "1", "yes"),
-        agent_mode=str(resolved["agents"]),
-        penalty=float(resolved["penalty"]),
-        hidden_sizes=hidden,
-        hyper=Hyperparameters(
-            gamma=float(resolved["gamma"]),
-            alpha=float(resolved["alpha"]),
-            eta=float(resolved["eta"]),
-            batch_size=int(resolved["batch_size"]),
-            capacity=int(resolved["capacity"]),
-            seed=int(resolved["seed"]),
-        ),
-        schedule=EpsilonSchedule(
-            eps_min=float(resolved["eps_min"]),
-            eps_max=float(resolved["eps_max"]),
-            decay=float(resolved["decay"]),
-        ),
-    )
-
-
-def _write_config(out_dir: Path, resolved: dict) -> None:
-    with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        raise ValueError("a seed is required (--seed or config file); runs must be reproducible")
+    parts = {"": {}, "hyper": {}, "schedule": {}}
+    for key, path, _ in SETTINGS:
+        if path:
+            owner, _, name = path.rpartition(".")
+            parts[owner][name] = _read(key, resolved[key])
+    return TrainingConfig(**parts[""], hyper=Hyperparameters(**parts["hyper"]),
+                          schedule=EpsilonSchedule(**parts["schedule"]))
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--feeder", help="built-in name (ieee13, ieee123) or document path")
-    p.add_argument("--episodes", type=int, help="number of training episodes")
-    p.add_argument("--steps", type=int, help="environment steps per episode")
-    p.add_argument("--sync-interval", dest="sync_interval", type=int,
-                   help="environment steps between target-network syncs")
-    p.add_argument("--mask", choices=["on", "off"],
-                   help="invalid-action masking; off switches to penalty rewards")
-    p.add_argument("--agents", choices=["multi", "single"], help="agent mode")
-    p.add_argument("--penalty", type=float, help="penalty reward M when masking is off")
-    p.add_argument("--hidden", help="hidden layer sizes, e.g. 64,64")
-    p.add_argument("--gamma", type=float, help="discount factor")
-    p.add_argument("--alpha", type=float, help="target blend rate")
-    p.add_argument("--eta", type=float, help="SGD step size")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="replay batch size")
-    p.add_argument("--capacity", type=int, help="replay buffer capacity")
-    p.add_argument("--eps-min", dest="eps_min", type=float, help="epsilon floor")
-    p.add_argument("--eps-max", dest="eps_max", type=float, help="epsilon ceiling")
-    p.add_argument("--decay", type=float, help="epsilon decay rate per episode")
-    p.add_argument("--seed", type=int, help="run seed (required; no clock default)")
-    p.add_argument("--execute-steps", dest="execute_steps", type=int,
-                   help="greedy rollout length used by eval")
+    for key, _, help_text in SETTINGS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, choices=CHOICES.get(key),
+                       help=help_text)
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--print-config", action="store_true",
                    help="print the fully resolved configuration and exit")
 
 
 def _cmd_train(args) -> int:
-    resolved = _resolved_config(args)
+    resolved = _resolved_config(args, args.config)
     if args.print_config:
         print(json.dumps(resolved, indent=2, sort_keys=True))
         return 0
-    if not resolved["feeder"]:
-        raise ValueError("--feeder is required")
     feeder = _resolve_feeder(resolved["feeder"])
     cfg = _training_config(resolved)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_config(out, resolved)
+    (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
     models, logs = train(feeder, cfg)
     write_episodes_csv(out / "episodes.csv", logs)
     save_models(out, feeder, cfg, models)
@@ -184,20 +177,18 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    resolved = _resolved_config(args)
+    resolved = _resolved_config(args, args.config)
     if args.print_config:
         print(json.dumps(resolved, indent=2, sort_keys=True))
         return 0
-    if not resolved["feeder"]:
-        raise ValueError("--feeder is required")
     feeder = _resolve_feeder(resolved["feeder"])
     nets, slots = load_models(args.checkpoints, feeder)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trace = execute(nets, feeder, max_steps=int(resolved["execute_steps"]), slots=slots)
+    trace = execute(nets, feeder, max_steps=resolved["execute_steps"], slots=slots)
     write_trace_csv(out / "trace.csv", trace)
     print(f"greedy rollout served {trace.final_served_kw:.1f} kW after "
-          f"{int(resolved['execute_steps'])} steps; "
+          f"{resolved['execute_steps']} steps; "
           f"violations {trace.total_violations}")
     return 0
 
@@ -221,22 +212,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    feeder = _resolve_feeder(args.feeder)
-    variants = []
-    for path in args.variants:
-        resolved = {**TRAIN_DEFAULTS, **_read_config(path)}
-        if args.seed is not None:
-            resolved["seed"] = args.seed
-        variants.append((Path(path).stem, _training_config(resolved)))
+    variants = [(Path(path).stem, _resolved_config(args, path)) for path in args.variants]
     if args.print_config:
-        print(json.dumps(
-            {label: cfg.__dict__ for label, cfg in variants},
-            indent=2, sort_keys=True, default=str,
-        ))
+        print(json.dumps(dict(variants), indent=2, sort_keys=True))
         return 0
+    configs = [(label, _training_config(resolved)) for label, resolved in variants]
+    feeder = _resolve_feeder(args.feeder)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = compare(feeder, variants)
+    rows = compare(feeder, configs)
     write_comparison_csv(out / "comparison.csv", rows)
     for row in rows:
         print(f"{row['variant']}: final50 mean {row['final50_mean']:.3f} "
@@ -288,7 +272,7 @@ def _cmd_validate(args) -> int:
             with open(args.feeder, "rb") as fh:
                 feeder = load_feeder(fh)
             violations = []
-        except FeederError as e:
+        except (FeederReferenceError, FeederValidationError) as e:
             violations = getattr(e, "violations", [str(e)])
     if violations:
         for v in violations:
@@ -331,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="train and tabulate config variants")
     p.add_argument("--feeder", required=True)
-    p.add_argument("--seed", type=int, help="override the seed of every variant")
+    p.add_argument("--seed", help="override the seed of every variant")
     p.add_argument("--out", default="runs/compare", help="output directory")
     p.add_argument("--print-config", action="store_true")
     p.add_argument("variants", nargs="+", help="JSON config files, one per variant")

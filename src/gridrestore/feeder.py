@@ -246,7 +246,7 @@ def validate_feeder(feeder: Feeder) -> list[str]:
         if not radial:
             v.append("non-radial topology")
         else:
-            gen_roots = {find(index[g.bus_id]) for g in feeder.generators}
+            gen_roots = {find(index[g.bus_id]) for g in feeder.generators if g.bus_id in index}
             for ld in feeder.loads:
                 if ld.bus_id in index and find(index[ld.bus_id]) not in gen_roots:
                     v.append(f"load {ld.id} unreachable from any generator")
@@ -307,7 +307,9 @@ def load_feeder(source) -> Feeder:
     try:
         elements = {key: tuple(_record(cls, kind, r) for r in doc.get(key, []))
                     for key, kind, cls in _ELEMENTS}
-    except (TypeError, ValueError) as e:
+        s_base_kva = float(doc.get("s_base_kva", 1000.0))
+        v_base_kv = float(doc.get("v_base_kv", 1.0))
+    except (TypeError, ValueError, OverflowError) as e:
         if isinstance(e, FeederError):
             raise
         raise FeederParseError(f"bad field value: {e}") from None
@@ -332,8 +334,8 @@ def load_feeder(source) -> Feeder:
 
     feeder = Feeder(
         name=str(doc.get("name", "")),
-        s_base_kva=float(doc.get("s_base_kva", 1000.0)),
-        v_base_kv=float(doc.get("v_base_kv", 1.0)),
+        s_base_kva=s_base_kva,
+        v_base_kv=v_base_kv,
         partition=partition,
         **elements,
     )

@@ -4,8 +4,8 @@ from unittest.mock import ANY
 
 import pytest
 
-from gridrestore import serialize_feeder
-from gridrestore.cli import main
+from gridrestore import Hyperparameters, TrainingConfig, serialize_feeder
+from gridrestore.cli import DEFAULTS, _training_config, main
 
 
 def run(capsys, *argv):
@@ -21,6 +21,71 @@ def test_print_config_exits_clean_without_seed(capsys):
     assert resolved["episodes"] == 500
     assert resolved["seed"] is None
     assert resolved["gamma"] == 0.5
+
+
+# The resolved defaults, byte for byte, as train and eval print them.
+DEFAULT_CONFIG_TEXT = """{
+  "agents": "multi",
+  "alpha": 0.5,
+  "batch_size": 32,
+  "capacity": 2000,
+  "decay": 0.02,
+  "episodes": 500,
+  "eps_max": 1.0,
+  "eps_min": 0.01,
+  "eta": 0.05,
+  "execute_steps": 16,
+  "feeder": null,
+  "gamma": 0.5,
+  "hidden": "64,64",
+  "mask": "on",
+  "penalty": -1.0,
+  "seed": null,
+  "steps": 16,
+  "sync_interval": 50
+}
+"""
+
+
+@pytest.mark.parametrize("argv", [("train",), ("eval", "--checkpoints", "x")])
+def test_print_config_text_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--print-config")
+    assert code == 0 and out == DEFAULT_CONFIG_TEXT
+
+
+def test_defaults_round_trip_to_the_training_config():
+    for seed in (0, 7, 123):
+        assert _training_config({**DEFAULTS, "seed": seed}) == TrainingConfig(
+            hyper=Hyperparameters(seed=seed))
+
+
+def test_config_values_are_written_in_one_form(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mask": False, "hidden": "32, 16", "gamma": 0, "seed": 4}))
+    code, out, _ = run(capsys, "train", "--print-config", "--config", str(cfg), "--mask", "on")
+    assert code == 0
+    resolved = json.loads(out)
+    assert (resolved["mask"], resolved["hidden"], resolved["gamma"]) == ("on", "32,16", 0.0)
+    code, out, _ = run(capsys, "train", "--print-config", "--config", str(cfg))
+    assert json.loads(out)["mask"] == "off"
+
+
+BAD_VALUES = [(key, value) for key in DEFAULTS for value in (None, [1], {"a": 1}, "x")] + [
+    ("mask", "onn"), ("mask", "yes"), ("mask", "1"), ("mask", "true"), ("mask", "ON"),
+    ("mask", 1), ("hidden", "64;64"), ("episodes", 2.5), ("episodes", True), ("gamma", 10**400),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES,
+                         ids=[f"{k}={json.dumps(v)}"[:24] for k, v in BAD_VALUES])
+def test_a_config_value_that_cannot_be_read_names_its_key(capsys, tmp_path, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"feeder": "ieee13", "seed": 1, "episodes": 2, "steps": 2,
+                               key: value}))
+    out = tmp_path / "r"
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--out", str(out))
+    _fails_with_one_error_line(code, err, key)
+    assert not out.exists()
 
 
 def test_train_requires_seed(capsys, tmp_path):
@@ -92,6 +157,14 @@ def _fails_with_one_error_line(code, err, *fragments):
     assert code == 1 and "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert all(f in err for f in fragments), err
+
+
+def test_seeded_train_config_json_is_pinned(capsys, tmp_path):
+    out = _trained(capsys, tmp_path)
+    assert (out / "config.json").read_text() == (
+        DEFAULT_CONFIG_TEXT.replace('"episodes": 500', '"episodes": 2')
+        .replace('"feeder": null', '"feeder": "ieee13"')
+        .replace('"seed": null', '"seed": 7').replace('"steps": 16', '"steps": 4'))
 
 
 def test_eval_rejects_a_malformed_checkpoint(capsys, tmp_path):
@@ -252,6 +325,40 @@ def test_compare_cli(capsys, tmp_path):
     assert rows[0] == ["variant", "convergence_episode", "final50_mean",
                        "final50_std", "violations", "wall_clock_s"]
     assert [r[0] for r in rows[1:]] == ["masked", "penalty"]
+
+
+def test_compare_prints_each_variant_as_train_resolves_it(capsys, tmp_path):
+    variants = {"masked": {"episodes": 3, "steps": 4},
+                "wide": {"mask": "off", "hidden": "32", "decay": 0.1, "seed": 9}}
+    paths = []
+    for label, values in variants.items():
+        paths.append(tmp_path / f"{label}.json")
+        paths[-1].write_text(json.dumps(values))
+    code, out, _ = run(capsys, "compare", "--feeder", "ieee13", "--seed", "3",
+                       "--print-config", *map(str, paths))
+    assert code == 0
+    printed = json.loads(out)
+    assert list(printed) == list(variants)
+    for path in paths:
+        code, alone, _ = run(capsys, "train", "--print-config", "--config", str(path),
+                             "--seed", "3", "--feeder", "ieee13")
+        assert code == 0 and printed[path.stem] == json.loads(alone)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(s_base_kva=[1]),
+    lambda doc: doc.update(v_base_kv="abc"),
+    lambda doc: doc["breakers"][0].update(state=float("inf")),
+], ids=["s_base_kva-list", "v_base_kv-text", "breaker-state-overflow"])
+def test_validate_reports_an_unreadable_document_in_one_error_line(capsys, tmp_path, ieee13,
+                                                                   edit):
+    doc = json.loads(serialize_feeder(ieee13))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+    code, stdout, err = run(capsys, "validate", "--feeder", str(path))
+    _fails_with_one_error_line(code, err, "bad field value")
+    assert stdout == ""
 
 
 def test_help_for_every_subcommand(capsys):

@@ -1,4 +1,4 @@
-"""The fast demos run to completion against the current package."""
+"""Every demo runs to completion against the current package."""
 
 import os
 import subprocess
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["01_feeders_and_powerflow.py", "02_oracle_search.py"])
+@pytest.mark.parametrize("script", ["01_feeders_and_powerflow.py", "02_oracle_search.py",
+                                    "03_train_thirteen_node.py", "04_masking_ablation.py"])
 def test_demo_exits_cleanly(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -96,6 +96,13 @@ def test_dangling_bus_reference():
         load_feeder(json.dumps(doc))
 
 
+def test_a_generator_on_an_unknown_bus_is_a_reference_error(ieee13):
+    doc = json.loads(serialize_feeder(ieee13))
+    doc["generators"][0]["bus_id"] = "x"
+    with pytest.raises(FeederReferenceError, match="generator g1 references unknown bus x"):
+        load_feeder(json.dumps(doc))
+
+
 def test_zero_loads_single_generator_is_valid():
     doc = {
         "format_version": 1,
@@ -166,6 +173,18 @@ def test_parse_errors():
         load_feeder(json.dumps({"buses": []}))
     with pytest.raises(FeederParseError, match="format_version"):
         load_feeder(json.dumps({"format_version": 99}))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(s_base_kva=[1]),
+    lambda doc: doc.update(v_base_kv="abc"),
+    lambda doc: doc["breakers"][0].update(state=1e400),
+], ids=["s_base_kva-list", "v_base_kv-text", "breaker-state-overflow"])
+def test_bad_bases_and_overflowing_values_are_parse_errors(ieee13, edit):
+    doc = json.loads(serialize_feeder(ieee13))
+    edit(doc)
+    with pytest.raises(FeederParseError, match="bad field value"):
+        load_feeder(json.dumps(doc).replace("Infinity", "1e400"))
 
 
 @pytest.mark.parametrize("partition, message", [
