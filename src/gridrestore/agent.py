@@ -14,8 +14,11 @@ error at the taken actions only). Keeping the optimizer to bare SGD makes the
 gradient exactly checkable against central finite differences.
 ``StackedLearner`` keeps every agent's main and target network in one
 parameter buffer and steps all agents at once on zero-padded layer views of
-it, fed from one replay ring that stores observation bits as int8. The tests
-check it against the unpadded per-agent step in ``tests/reference.py``.
+it, fed from one replay ring that stores observation bits as int8. An agent
+sees only its own w breakers, so between target syncs its ``max_a' Q_target``
+takes at most 2^w values; when they fit in one batch the learner tabulates
+them once per sync instead of running the target network every step. The
+tests check it against the per-agent step in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ class Hyperparameters:
             raise ValueError("gamma must be in [0, 1)")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < np.inf:  # False for NaN too
+            raise ValueError(f"eta must be positive and finite, not {self.eta}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.capacity < 1:
@@ -71,8 +74,8 @@ class EpsilonSchedule:
     def __post_init__(self):
         if not (0 <= self.eps_min < self.eps_max <= 1):
             raise ValueError("need 0 <= eps_min < eps_max <= 1")
-        if self.decay <= 0:
-            raise ValueError("decay must be positive")
+        if not 0 < self.decay < np.inf:
+            raise ValueError(f"decay must be positive and finite, not {self.decay}")
 
     def value(self, episode: int) -> float:
         return self.eps_min + (self.eps_max - self.eps_min) * float(
@@ -152,13 +155,25 @@ class StackedLearner:
     ``(agents, capacity, width)``) holds a step's observations and next
     observations, ``actions`` and ``rewards`` its actions and shared reward.
 
-    ``gradients`` runs every agent's forward and backward pass in one set of
-    batched array calls. Padded weights get exactly zero gradient, and padded
-    outputs are set to -inf before the next-state max. Padding adds zero terms
-    to the sums over the input width, which OpenBLAS 0.3.31 keeps bit-exact on
-    the study feeders' widths for batches of 2 or more rows; a one-row batch
-    goes to a matrix-vector kernel that may sum a padded row in another order,
-    so there it agrees to rounding with the unpadded per-agent step.
+    ``gradients`` runs every agent's main forward and backward pass in one set
+    of batched array calls on the ``weights[l][0]`` stacks; padded weights get
+    exactly zero gradient. ``_target_max`` gives an agent's next-state value
+    ``max_a' Q_target(o', a')`` at each row of an (n, widest) block through
+    ``weights[l][1, a]``, the matrices, shapes and strides of a stacked call,
+    with padded outputs set to -inf. An agent of w breakers with 2^w <= n (n
+    the batch size) runs it once per sync on a block holding every
+    observation code (bit j = its breaker j; padded bits do not count), and
+    each step reads that table by code; a wider agent runs its n sampled next
+    rows. Tables are kept per n until ``sync_target`` empties them; the
+    target views in ``pairs`` are read-only, so none goes stale.
+
+    Exactness rests on OpenBLAS 0.3.31 (SkylakeX kernels). A row of an n-row
+    product does not depend on the other rows, so a table entry equals the
+    value a stacked pass gives a row holding that code. Zero padding keeps
+    the step bit-equal to the unpadded per-agent step of ``tests/reference.py``
+    at 16 and 32 rows (32 is the default batch); with fewer rows a padded
+    product may round differently, and a one-row batch goes to a
+    matrix-vector kernel.
     """
 
     def __init__(self, pairs: list[AgentPair], capacity: int):
@@ -177,7 +192,12 @@ class StackedLearner:
         self._grad_b = [self.grads[k].reshape(s) for k, s in blocks[1::2]]
         self.pairs = [AgentPair(self._adopt(0, a, p.main), self._adopt(1, a, p.target))
                       for a, p in enumerate(pairs)]
-        self._padded = (np.arange(widest[-1]) >= sizes[:, -1:])[:, None, :]
+        self._padded = np.arange(widest[-1]) >= sizes[:, -1:]
+        self._widths = sizes[:, 0]
+        # Agent a's next-row place values: bit j counts 2^j, padded bits 0.
+        self._place = np.where(np.arange(widest[0]) < self._widths[:, None],
+                               2.0 ** np.arange(widest[0]), 0.0)
+        self._tables = {}  # batch size -> per agent, its table or None; emptied on sync
         # Slots past ``size`` are never read, so the ring starts uninitialized.
         self.bits = np.empty((2, agents, capacity, widest[0]), dtype=np.int8)
         self.actions = np.empty((agents, capacity), dtype=np.intp)
@@ -192,6 +212,7 @@ class StackedLearner:
                         [b[row, agent, 0, : p.shape[0]] for b, p in zip(self.biases, net.biases)])
         for dst, src in zip(view.weights + view.biases, net.weights + net.biases):
             dst[...] = src
+            dst.flags.writeable = row == 0  # targets change only through sync_target
         return view
 
     def push(self, observations, actions, reward: float, next_observations) -> None:
@@ -222,31 +243,57 @@ class StackedLearner:
     def sync_target(self) -> None:
         """Copy every main network into its target (bit-equal)."""
         self.params[1] = self.params[0]
+        self._tables.clear()
+
+    def _target_max(self, agent: int, block: np.ndarray) -> np.ndarray:
+        """``max_a' Q_target(o', a')`` of one agent at each row of an
+        ``(n, widest)`` block, computed as the stacked forward pass does."""
+        x = block
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            x = x @ w[1, agent].T
+            x += b[1, agent]
+            np.maximum(x, 0.0, out=x)
+        q = x @ self.weights[-1][1, agent].T
+        q += self.biases[-1][1, agent]
+        np.copyto(q, -np.inf, where=self._padded[agent])
+        return q.max(axis=1)
+
+    def _bootstrap_tables(self, n: int) -> list:
+        """Per agent, its target max at every observation code when 2^w <= n, else None."""
+        if n not in self._tables:  # row r of agent a's block holds code r mod 2^w
+            bits = (np.arange(n)[:, None] >> np.arange(self._place.shape[1]) & 1).astype(float)
+            self._tables[n] = [
+                None if 1 << w > n else self._target_max(a, bits * (place > 0))[: 1 << w]
+                for a, (w, place) in enumerate(zip(self._widths, self._place))]
+        return self._tables[n]
 
     def gradients(self, observations, actions, rewards, hp: Hyperparameters) -> np.ndarray:
         """Fill ``grads`` with every main network's gradient on a batch shaped
         like ``sample``'s; returns each agent's mean squared residual."""
         agents, n = actions.shape
+        nxt = observations[agents:]
+        best = np.empty((agents, n))
+        for a, table in enumerate(self._bootstrap_tables(n)):
+            best[a] = (self._target_max(a, nxt[a]) if table is None
+                       else table.take((nxt[a] @ self._place[a]).astype(np.intp)))
+        bootstrapped = rewards + hp.gamma * best
         # In-place bias and ReLU keep the step's temporaries small; ReLU
         # outputs stand in for pre-activations, as relu(z) > 0 iff z > 0.
-        post = [observations.reshape(2, agents, n, -1)]
+        post = [observations[:agents]]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            post.append(post[-1] @ w.transpose(0, 1, 3, 2))
-            post[-1] += b
+            post.append(post[-1] @ w[0].transpose(0, 2, 1))
+            post[-1] += b[0]
             np.maximum(post[-1], 0.0, out=post[-1])
-        q = post[-1] @ self.weights[-1].transpose(0, 1, 3, 2)
-        q += self.biases[-1]
-        q_all, q_next = q
-        np.copyto(q_next, -np.inf, where=self._padded)
-        bootstrapped = rewards + hp.gamma * q_next.max(axis=2)
-        taken = (np.arange(0, q_all.size, q.shape[3]).reshape(agents, n) + actions).ravel()
+        q_all = post[-1] @ self.weights[-1][0].transpose(0, 2, 1)
+        q_all += self.biases[-1][0]
+        taken = (np.arange(0, q_all.size, q_all.shape[2]).reshape(agents, n) + actions).ravel()
         q_taken = q_all.take(taken).reshape(agents, n)
         labels = (1.0 - hp.alpha) * q_taken + hp.alpha * bootstrapped
         residual = q_taken - labels
         delta = np.zeros_like(q_all)
         delta.put(taken, 2.0 * residual / n)
         for layer in range(len(self.weights) - 1, -1, -1):
-            inputs = post.pop()[0]  # freed as the pass goes down the layers
+            inputs = post.pop()  # freed as the pass goes down the layers
             np.matmul(delta.transpose(0, 2, 1), inputs, out=self._grad_w[layer])
             delta.sum(axis=1, keepdims=True, out=self._grad_b[layer])
             if layer:

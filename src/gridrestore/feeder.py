@@ -264,9 +264,20 @@ def validate_feeder(feeder: Feeder) -> list[str]:
 # omitted when it has a dataclass default or a ``_DOCUMENT_DEFAULTS`` entry.
 
 
-def _record(cls, kind: str, record):
-    """One element of ``cls`` from its document record, each value cast to
-    the field's declared type."""
+def _cast(kind, value, where: str):
+    """``kind(value)``; a value it cannot read raises a parse error naming ``where``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise FeederParseError(f"bad field value {where}: {e}") from None
+
+
+def _record(cls, kind: str, where: str, record):
+    """One element of ``cls`` from its document record ``where`` (such as
+    ``breakers[3]``), each value cast to the field's declared type."""
+    if not isinstance(record, dict):
+        raise FeederParseError(f"bad field value {where}: a record must be an object, "
+                               f"not {type(record).__name__}")
     values = {}
     for f in fields(cls):
         if f.name in record:
@@ -277,7 +288,7 @@ def _record(cls, kind: str, record):
             value = _DOCUMENT_DEFAULTS[f.name]
         else:
             raise FeederParseError(f"missing '{f.name}' in {kind}")
-        values[f.name] = f.type(value)
+        values[f.name] = _cast(f.type, value, f"{where}.{f.name}")
     return cls(**values)
 
 
@@ -305,14 +316,13 @@ def load_feeder(source) -> Feeder:
         raise FeederParseError(f"unsupported format_version {doc['format_version']}")
 
     try:
-        elements = {key: tuple(_record(cls, kind, r) for r in doc.get(key, []))
+        elements = {key: tuple(_record(cls, kind, f"{key}[{i}]", r)
+                               for i, r in enumerate(doc.get(key, [])))
                     for key, kind, cls in _ELEMENTS}
-        s_base_kva = float(doc.get("s_base_kva", 1000.0))
-        v_base_kv = float(doc.get("v_base_kv", 1.0))
-    except (TypeError, ValueError, OverflowError) as e:
-        if isinstance(e, FeederError):
-            raise
+    except TypeError as e:  # an element array that is not a list
         raise FeederParseError(f"bad field value: {e}") from None
+    s_base_kva = _cast(float, doc.get("s_base_kva", 1000.0), "s_base_kva")
+    v_base_kv = _cast(float, doc.get("v_base_kv", 1.0), "v_base_kv")
 
     part_doc = doc.get("partition", {})
     if not isinstance(part_doc, dict):

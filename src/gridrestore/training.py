@@ -65,6 +65,8 @@ class TrainingConfig:
             raise ValueError("step counters must be positive")
         if self.agent_mode not in ("multi", "single"):
             raise ValueError(f"unknown agent_mode {self.agent_mode!r}")
+        if not np.isfinite(self.penalty):
+            raise ValueError(f"penalty must be finite, not {self.penalty}")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden layer sizes must be at least 1, got {self.hidden_sizes}")
 

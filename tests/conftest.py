@@ -1,3 +1,4 @@
+import ctypes
 import sys
 from pathlib import Path
 
@@ -9,15 +10,36 @@ sys.path.insert(0, str(Path(__file__).parent))
 from gridrestore import builtin_feeder
 
 
+def _openblas_core():
+    """The kernel a bundled DYNAMIC_ARCH OpenBLAS chose at run time, when the
+    library exports a ``*get_corename*`` function; else None."""
+    root = Path(np.__file__).parent
+    for lib in [*(root.parent / "numpy.libs").glob("*openblas*"),
+                *(root / ".dylibs").glob("*openblas*")]:
+        data = lib.read_bytes()
+        k = data.find(b"get_corename")
+        while k >= 0:  # symbol names are NUL-terminated strings
+            name = data[data.rfind(b"\0", 0, k) + 1: data.find(b"\0", k)]
+            corename = getattr(ctypes.CDLL(str(lib)), name.decode(errors="replace"), None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+            k = data.find(b"get_corename", k + 1)
+    return None
+
+
 def pytest_report_header(config):
-    # The golden digests and the stacked learner's padding exactness were
-    # measured with one BLAS build; name it so a failure elsewhere can be read.
+    # The golden digests, the stacked learner's padding exactness and its
+    # bootstrap tables were measured with one BLAS build and run-time kernel;
+    # name both so a failure elsewhere can be read.
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 only prints its config
         return f"numpy {np.__version__}; BLAS not reported"
+    core = _openblas_core()
     return (f"numpy {np.__version__}; BLAS {blas.get('name')} {blas.get('version')} "
-            f"({blas.get('openblas configuration', 'no configuration reported')})")
+            f"({blas.get('openblas configuration', 'no configuration reported')})"
+            + (f"; runtime core {core}" if core else ""))
 
 
 @pytest.fixture(scope="session")

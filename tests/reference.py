@@ -470,6 +470,22 @@ def padded_entries(learner: StackedLearner) -> np.ndarray:
     return StackedLearner(ones, capacity=1).params[0] == 0.0
 
 
+def padded_pairs(learner: StackedLearner) -> list[AgentPair]:
+    """Copies of every agent's main and target network at the stack's
+    zero-padded shapes, so that ``train_step`` on one of them makes each
+    product at the shapes of the stacked call. A padded output's bias is
+    -1e300, so no next-state max picks it."""
+    pairs = []
+    for a in range(len(learner.pairs)):
+        nets = [QNetwork([w[row, a].copy() for w in learner.weights],
+                         [b[row, a, 0].copy() for b in learner.biases]) for row in (0, 1)]
+        out = learner.pairs[a].main.n_outputs
+        for net in nets:
+            net.biases[-1][out:] = -1e300
+        pairs.append(AgentPair(*nets))
+    return pairs
+
+
 def numeric_gradient(learner: StackedLearner, batches: list[list[Experience]],
                      hp: Hyperparameters, h: float = 1e-5) -> np.ndarray:
     """Central finite differences in every entry of ``learner.params[0]`` of the

@@ -19,6 +19,7 @@ from reference import (
     Experience,
     numeric_gradient,
     padded_entries,
+    padded_pairs,
     stacked_batch,
     sync_target,
     train_step,
@@ -116,6 +117,9 @@ def test_epsilon_schedule_validation():
         EpsilonSchedule(eps_min=0.5, eps_max=0.5)
     with pytest.raises(ValueError):
         EpsilonSchedule(decay=0.0)
+    for decay in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="decay must be positive and finite"):
+            EpsilonSchedule(decay=decay)
 
 
 def _ring(capacity, widths):
@@ -226,6 +230,46 @@ def test_stacked_step_on_one_row_batches_agrees_to_rounding():
     assert not learner.params[:, padded_entries(learner)].any()
 
 
+@pytest.mark.parametrize("hidden", [(), (7,), (64, 64)])
+def test_tabled_and_per_row_bootstraps_step_as_the_per_agent_reference(hidden):
+    # Ten agents of widths 1 to 10 in a seeded order. An agent of w breakers
+    # reads its next-state value from a table when 2^w <= batch size (w <= 5
+    # at 32 rows, w <= 2 at 7, w = 1 at 2, none at 1) and runs its target on
+    # the sampled rows otherwise; the per-agent reference always does the
+    # latter, at the stack's padded shapes. Padded next-observation bits are
+    # random and must not change a code.
+    rng = np.random.default_rng(1500 + len(hidden))
+    widths = [int(w) for w in rng.permutation(np.arange(1, 11))]
+    learner = StackedLearner([AgentPair(random_network([n, *hidden, 2 * n], 30 + n),
+                                        random_network([n, *hidden, 2 * n], 40 + n))
+                              for n in widths], capacity=1)
+    reference = padded_pairs(learner)
+    hp = Hyperparameters(gamma=0.9, alpha=0.7, eta=0.05, seed=0)
+    for step, batch_size in enumerate((32, 32, 7, 2, 32, 1, 7, 7, 2, 32, 1, 32)):
+        if step in (1, 4, 7, 9):
+            learner.sync_target()
+            for pair in reference:
+                sync_target(pair)
+        obs, actions, rewards = stacked_batch(_experiences(rng, widths, batch_size), 10)
+        for a, n in enumerate(widths):
+            obs[len(widths) + a, :, n:] = rng.integers(0, 2, (batch_size, 10 - n))
+        want = [train_step(pair, [Experience(tuple(o), int(act), float(r), tuple(x))
+                                  for o, act, r, x in zip(obs[a], actions[a], rewards[a],
+                                                          obs[len(widths) + a])], hp)
+                for a, pair in enumerate(reference)]
+        assert learner.train_step(obs, actions, rewards, hp).tolist() == want
+        for a, (pair, n) in enumerate(zip(reference, widths)):
+            for row, net in enumerate((pair.main, pair.target)):
+                for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+                    assert learner.weights[layer][row, a].tobytes() == w.tobytes()
+                    used = slice(2 * n if layer == len(net.weights) - 1 else None)
+                    assert learner.biases[layer][row, a, 0, used].tobytes() == b[used].tobytes()
+    for pair in learner.pairs:  # a write would leave a table stale
+        for array in pair.target.weights + pair.target.biases:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+
 # One agent, whose stack has no padding, and three agents of mixed widths.
 WIDTHS = [(4,), (4, 2, 3)]
 
@@ -251,10 +295,12 @@ def test_sync_target_bit_equality_and_idempotence():
 
 def test_train_step_alpha_one_uses_pure_bootstrap_label():
     for widths in WIDTHS:
-        learner = _learner(widths, (6,), seed=11)
         rng = np.random.default_rng(11)
-        for pair in learner.pairs:  # targets that differ from the mains
+        pairs = [AgentPair.initialized([n, 6, 2 * n], np.random.default_rng(11 + n))
+                 for n in widths]
+        for pair in pairs:  # targets that differ from the mains
             pair.target.weights[-1][...] = rng.uniform(-1, 1, pair.target.weights[-1].shape)
+        learner = StackedLearner(pairs, capacity=1)
         batches = _experiences(rng, widths, 2)
         want = [np.mean([(e.reward + 0.95 * pair.target.forward(e.next_observation).max()
                           - pair.main.forward(e.observation)[e.action]) ** 2 for e in batch])
@@ -339,6 +385,9 @@ def test_hyperparameter_validation():
         Hyperparameters(alpha=0.0)
     with pytest.raises(ValueError):
         Hyperparameters(eta=-1.0)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            Hyperparameters(eta=eta)
     with pytest.raises(ValueError):
         Hyperparameters(batch_size=0)
     with pytest.raises(ValueError, match="capacity"):

@@ -107,6 +107,12 @@ def test_train_unknown_feeder_names_it(capsys, tmp_path):
     (("--hidden", "64,-3"), "hidden layer sizes must be at least 1"),
     (("--batch-size", "5000", "--capacity", "10"), "exceeds the replay capacity 10"),
     (("--capacity", "0"), "capacity must be at least 1"),
+    (("--eta", "nan"), "eta must be positive and finite"),
+    (("--eta", "inf"), "eta must be positive and finite"),
+    (("--decay", "nan"), "decay must be positive and finite"),
+    (("--decay", "inf"), "decay must be positive and finite"),
+    (("--penalty", "nan", "--mask", "off"), "penalty must be finite"),
+    (("--penalty=-inf", "--mask", "off"), "penalty must be finite"),
 ])
 def test_train_rejects_configs_that_cannot_train(capsys, tmp_path, flags, message):
     out = tmp_path / "r"

@@ -175,15 +175,18 @@ def test_parse_errors():
         load_feeder(json.dumps({"format_version": 99}))
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc.update(s_base_kva=[1]),
-    lambda doc: doc.update(v_base_kv="abc"),
-    lambda doc: doc["breakers"][0].update(state=1e400),
-], ids=["s_base_kva-list", "v_base_kv-text", "breaker-state-overflow"])
-def test_bad_bases_and_overflowing_values_are_parse_errors(ieee13, edit):
+@pytest.mark.parametrize("edit, where", [
+    (lambda doc: doc.update(s_base_kva=[1]), "s_base_kva"),
+    (lambda doc: doc.update(v_base_kv="abc"), "v_base_kv"),
+    (lambda doc: doc["breakers"][3].update(state=1e400), r"breakers\[3\]\.state"),
+    (lambda doc: doc["lines"][2].update(resistance="x"), r"lines\[2\]\.resistance"),
+    (lambda doc: doc["loads"].__setitem__(1, 5), r"loads\[1\]"),
+], ids=["s_base_kva-list", "v_base_kv-text", "breaker-state-overflow", "line-resistance-text",
+        "load-not-an-object"])
+def test_bad_bases_and_overflowing_values_are_parse_errors(ieee13, edit, where):
     doc = json.loads(serialize_feeder(ieee13))
     edit(doc)
-    with pytest.raises(FeederParseError, match="bad field value"):
+    with pytest.raises(FeederParseError, match=f"^bad field value {where}: "):
         load_feeder(json.dumps(doc).replace("Infinity", "1e400"))
 
 

@@ -65,6 +65,12 @@ def test_config_rejects_hidden_sizes_below_one(hidden):
         TrainingConfig(hidden_sizes=hidden)
 
 
+@pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_a_non_finite_penalty(penalty):
+    with pytest.raises(ValueError, match="penalty must be finite"):
+        TrainingConfig(penalty=penalty)
+
+
 def test_config_allows_no_hidden_layer():
     assert TrainingConfig(hidden_sizes=()).hidden_sizes == ()
 
