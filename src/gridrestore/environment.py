@@ -12,10 +12,11 @@ Verdicts are solved and memoized per island (see ``powerflow.islands``): a
 state is feasible when every island's sub-state is. An island's bits, read as
 an integer code (bit j is its j-th breaker), give a page and a row by
 ``divmod(code, rows)``, rows being ``powerflow.batch_rows(island)`` as read
-at construction; ``powerflow.verdict_page`` solves the page's rows as one
-batch at its first lookup, the same batches the oracle solves. The pages
-belong to the feeder object, shared by every environment on it and freed
-with it; so in ``compare`` the first variant pays the page fills.
+at construction. A page holds the ``BatchVerdicts`` arrays of one
+``solve_batch`` call, the oracle's batch (``powerflow.verdict_page`` fills
+it), and the environment holds each island's page dict. The pages belong to
+the feeder object, shared by every environment on it and freed with it; so
+in ``compare`` the first variant pays the page fills.
 
 Two reward modes:
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feeder import Feeder
-from .powerflow import batch_rows, islands, verdict_page
+from .powerflow import _network_index, batch_rows, islands, verdict_page
 
 
 class EpisodeExhausted(RuntimeError):
@@ -100,12 +101,13 @@ class RestorationEnv:
         for k, (positions, _) in enumerate(self._islands):
             self._place[k, list(positions)] = 1 << np.arange(len(positions))
         self._page_rows = [batch_rows(sub) for _, sub in self._islands]
+        self._pages = [_network_index(sub).pages for _, sub in self._islands]
         # (joint, candidate states, verdict) of the last validate_joint since
         # the state last changed; a step of that joint reuses them.
         self._validated: tuple | None = None
         if reward_mode == "masked":
             for (_, sub), rows in zip(self._islands, self._page_rows):
-                if not verdict_page(sub, 0, rows)[0][0]:  # row 0 of page 0: the island all open
+                if not verdict_page(sub, 0, rows).feasible[0]:  # code 0: the island all open
                     raise ValueError(
                         f"the island of generators {', '.join(g.id for g in sub.generators)} "
                         "violates a constraint with all breakers open; masked mode needs "
@@ -150,11 +152,11 @@ class RestorationEnv:
     def _feasibility(self, states: np.ndarray) -> tuple[bool, float, float]:
         """The AND of the island verdicts and the sums of their served power."""
         ok, served, weighted = True, 0.0, 0.0
-        for (_, sub), code, rows in zip(self._islands, self._place.dot(states).tolist(),
-                                        self._page_rows):
+        for (_, sub), pages, rows, code in zip(self._islands, self._pages, self._page_rows,
+                                               self._place.dot(states).tolist()):
             page, row = divmod(code, rows)
-            f, s, w = verdict_page(sub, page, rows)[row]
-            ok, served, weighted = ok and f, served + s, weighted + w
+            f, s, w, _ = pages.get((rows, page)) or verdict_page(sub, page, rows)
+            ok, served, weighted = ok and f.item(row), served + s.item(row), weighted + w.item(row)
         return ok, served, weighted
 
     def validate_joint(self, actions) -> bool:

@@ -7,8 +7,8 @@ exactly one agent. Feeder values are immutable after construction and safe to
 share across threads and processes.
 
 The element dataclasses are the document schema: annotations stay evaluated
-(no ``from __future__ import annotations``) so the reader can cast each value
-to its field's declared type.
+(no ``from __future__ import annotations``) so the reader can check or cast
+each value by its field's declared type.
 """
 
 import hashlib
@@ -265,9 +265,12 @@ def validate_feeder(feeder: Feeder) -> list[str]:
 
 
 def _cast(kind, value, where: str):
-    """``kind(value)``; a value it cannot read raises a parse error naming ``where``."""
+    """``float(value)`` for a float field; an int or str field takes only a JSON
+    integer or string. Anything else raises a parse error naming ``where``."""
     try:
-        return kind(value)
+        if kind is float or type(value) is kind:
+            return kind(value)
+        raise TypeError(f"{json.dumps(value)} is not {'an integer' if kind is int else 'a string'}")
     except (TypeError, ValueError, OverflowError) as e:
         raise FeederParseError(f"bad field value {where}: {e}") from None
 
@@ -338,12 +341,12 @@ def load_feeder(source) -> Feeder:
             raise FeederParseError(f"partition key {key!r} must be written as {int(key)}")
         if not isinstance(ids, list):
             raise FeederParseError(f"partition {key!r} must be a list of breaker ids")
-    partition = MicrogridPartition(
-        assignments=tuple(tuple(str(b) for b in part_doc[str(k)]) for k in keys)
-    )
+    partition = MicrogridPartition(tuple(
+        tuple(_cast(str, b, f"partition.{k}[{i}]") for i, b in enumerate(part_doc[str(k)]))
+        for k in keys))
 
     feeder = Feeder(
-        name=str(doc.get("name", "")),
+        name=_cast(str, doc.get("name", ""), "name"),
         s_base_kva=s_base_kva,
         v_base_kv=v_base_kv,
         partition=partition,

@@ -30,7 +30,7 @@ it is flagged on the solution and counts as failing every constraint.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
@@ -58,6 +58,7 @@ class PowerFlowSolution:
     served_weighted_kw: float
     converged: bool
     iterations: int
+    _row: _Sweep | None = field(default=None, repr=False, compare=False)  # solve's own row
 
     @property
     def total_generation_kw(self) -> float:
@@ -176,7 +177,7 @@ class _NetworkIndex:
             self.adjacency[f].append((li, t))
             self.adjacency[t].append((li, f))
         self.islands: tuple[Island, ...] | None = None
-        self.pages: dict[tuple[int, int], list[tuple[bool, float, float]]] = {}
+        self.pages: dict[tuple[int, int], BatchVerdicts] = {}
 
     def tree(self, start: int) -> list[tuple[int, int, int]]:
         """(bus, line into it, parent bus) over all lines from ``start``, breadth first."""
@@ -467,8 +468,8 @@ def page_states(feeder: Feeder, page: int, rows: int) -> np.ndarray:
     return (codes[:, None] >> np.arange(n)) & 1
 
 
-def verdict_page(feeder: Feeder, page: int, rows: int) -> list[tuple[bool, float, float]]:
-    """(feasible, served kW, weighted kW) of each row of ``page_states``.
+def verdict_page(feeder: Feeder, page: int, rows: int) -> BatchVerdicts:
+    """``solve_batch``'s verdict arrays on ``page_states(feeder, page, rows)``.
     Memoized on the feeder object under (rows, page), so every caller on it
     shares the pages; a miss solves the page as one batch. The caller fixes
     ``rows`` (usually ``batch_rows(feeder)``) and indexes rows of that page.
@@ -476,9 +477,7 @@ def verdict_page(feeder: Feeder, page: int, rows: int) -> list[tuple[bool, float
     pages = _network_index(feeder).pages
     verdicts = pages.get((rows, page))
     if verdicts is None:
-        v = solve_batch(feeder, page_states(feeder, page, rows))
-        verdicts = pages[rows, page] = list(zip(v.feasible.tolist(), v.served_kw.tolist(),
-                                                v.weighted_kw.tolist()))
+        verdicts = pages[rows, page] = solve_batch(feeder, page_states(feeder, page, rows))
     return verdicts
 
 
@@ -498,6 +497,7 @@ def solve(feeder: Feeder, states) -> PowerFlowSolution:
         served_weighted_kw=float(weighted[0]),
         converged=bool(sw.converged[0]),
         iterations=int(sw.iterations[0]),
+        _row=sw,
     )
 
 
@@ -507,25 +507,17 @@ _DIVERGED = ConstraintReport(
 
 
 def check_constraints(feeder: Feeder, solution: PowerFlowSolution) -> ConstraintReport:
-    """Evaluate the operating constraints against a solved state.
-
+    """Evaluate the operating constraints at the row ``solve`` kept on the
+    solution, against ``feeder``'s limits; edits to its dicts do not count.
     Divergence fails everything. De-energized buses and generators are exempt
     from the voltage and injection-box checks (they are not operating).
     """
-    idx = _network_index(feeder)
+    if solution._row is None:
+        raise ValueError("check_constraints needs a PowerFlowSolution made by solve")
     if not solution.converged:
         return _DIVERGED
-    flows = [solution.line_flows.get(lid) for lid in idx.line_ids]
-    gens = np.array([solution.gen_injections[g] for g in idx.gen_ids]).reshape(1, -1, 2)
-    sw = _Sweep(
-        np.array([[solution.bus_voltages[b] for b in idx.bus_ids]]),
-        np.array([[b in solution.energized_buses for b in idx.bus_ids]], dtype=bool),
-        None,
-        np.array([[complex(f[0], f[1]) if f else 0j for f in flows]]),
-        np.array([[f is not None for f in flows]], dtype=bool),
-        gens[..., 0], gens[..., 1], np.array([solution.total_losses_kw]), np.array([True]), None,
-    )
-    _, fields = _checks(idx, sw, np.array([solution.served_load_kw]))
+    idx = _network_index(feeder)
+    _, fields = _checks(idx, solution._row, np.array([solution.served_load_kw]))
     balance, margin, v_ok, bus, v_worst, p_ok, q_ok, s_ok, line, loading = (f[0].item() for f in fields)
     return ConstraintReport(
         balance, margin, v_ok, idx.bus_ids[bus] if bus >= 0 else "", v_worst,

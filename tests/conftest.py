@@ -28,18 +28,26 @@ def _openblas_core():
     return None
 
 
+def _source_lines():
+    """Lines in the package's Python files under ``src/``, counted as ``wc -l`` counts."""
+    src = Path(__file__).parent.parent / "src"
+    return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+
+
 def pytest_report_header(config):
     # The golden digests, the stacked learner's padding exactness and its
     # bootstrap tables were measured with one BLAS build and run-time kernel;
-    # name both so a failure elsewhere can be read.
+    # name both so a failure elsewhere can be read. The source line count
+    # shows the package's size against its line budget in every run.
+    lines = f"src/ {_source_lines():,} lines"
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 only prints its config
-        return f"numpy {np.__version__}; BLAS not reported"
+        return f"numpy {np.__version__}; BLAS not reported; {lines}"
     core = _openblas_core()
     return (f"numpy {np.__version__}; BLAS {blas.get('name')} {blas.get('version')} "
             f"({blas.get('openblas configuration', 'no configuration reported')})"
-            + (f"; runtime core {core}" if core else ""))
+            + (f"; runtime core {core}" if core else "") + f"; {lines}")
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,8 @@ from gridrestore.feeder import (
     LoadPoint,
     MicrogridPartition,
 )
-from gridrestore.powerflow import check_constraints, solve
+from gridrestore import powerflow
+from gridrestore.powerflow import ConstraintReport, PowerFlowSolution, check_constraints, solve
 
 
 def random_radial_feeder(
@@ -365,6 +366,31 @@ def recursive_best(feeder: Feeder):
 
     descend([])
     return best["states"], best["weighted"], best["served"]
+
+
+def dict_check_constraints(feeder: Feeder, solution: PowerFlowSolution) -> ConstraintReport:
+    """The constraint report rebuilt from a solution's dicts, by bus, line and
+    generator id, and checked by the solver's own ``_checks``: the evaluation
+    ``check_constraints`` made before it read the row ``solve`` keeps."""
+    idx = powerflow._network_index(feeder)
+    if not solution.converged:
+        return powerflow._DIVERGED
+    flows = [solution.line_flows.get(lid) for lid in idx.line_ids]
+    gens = np.array([solution.gen_injections[g] for g in idx.gen_ids]).reshape(1, -1, 2)
+    sw = powerflow._Sweep(
+        np.array([[solution.bus_voltages[b] for b in idx.bus_ids]]),
+        np.array([[b in solution.energized_buses for b in idx.bus_ids]], dtype=bool),
+        None,
+        np.array([[complex(f[0], f[1]) if f else 0j for f in flows]]),
+        np.array([[f is not None for f in flows]], dtype=bool),
+        gens[..., 0], gens[..., 1], np.array([solution.total_losses_kw]), np.array([True]), None,
+    )
+    _, fields = powerflow._checks(idx, sw, np.array([solution.served_load_kw]))
+    balance, margin, v_ok, bus, v_worst, p_ok, q_ok, s_ok, line, loading = (f[0].item() for f in fields)
+    return ConstraintReport(
+        balance, margin, v_ok, idx.bus_ids[bus] if bus >= 0 else "", v_worst,
+        p_ok, q_ok, s_ok, idx.line_ids[line] if line >= 0 else "", loading, True,
+    )
 
 
 # -- per-agent learning step -------------------------------------------------------

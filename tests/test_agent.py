@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -376,6 +378,23 @@ def test_checkpoint_round_trip(tmp_path):
     assert breakers == ["cb1", "cb2", "cb3", "cb4", "cb5"]
     obs = [1, 0, 0, 1, 1]
     assert np.array_equal(loaded.forward(obs), net.forward(obs))
+
+
+@pytest.mark.parametrize("breakers, wrong", [
+    ([1, "cb2"], "breakers[0]"),
+    (["cb1", True], "breakers[1]"),
+    (["cb1", ["cb2"]], "breakers[1]"),
+    ([None, 2.0], "breakers[0], breakers[1]"),
+], ids=["integer", "boolean", "list", "null-and-float"])
+def test_checkpoint_breaker_ids_must_be_strings(tmp_path, breakers, wrong):
+    # An id is read as written, never stringified: 1 does not become "1".
+    path = tmp_path / "checkpoint_agent0.json"
+    save_checkpoint(path, 0, ["cb1", "cb2"], random_network([2, 4, 4], seed=22))
+    doc = json.loads(path.read_text())
+    doc["breakers"] = breakers
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"missing or mistyped {re.escape(wrong)}$"):
+        load_checkpoint(path)
 
 
 def test_hyperparameter_validation():

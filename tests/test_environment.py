@@ -578,7 +578,7 @@ def test_pages_of_different_sizes_never_mix(monkeypatch, fresh_feeder):
     assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
     for _, sub in islands(feeder):
         pages = powerflow._network_index(sub).pages
-        assert all(len(v) == min(r, 2 ** sub.n_breakers - page * r)
+        assert all(len(v.feasible) == min(r, 2 ** sub.n_breakers - page * r)
                    for (r, page), v in pages.items())
 
 
@@ -620,6 +620,28 @@ def test_oracle_solves_the_pages_an_environment_fills(monkeypatch, fresh_feeder)
     assert len(solved) == 16 and sum(n for *_, n in solved) == 1104
     assert [(first, n) for k, first, n in solved if k == 0] == [
         *((91 * page, 91) for page in range(11)), (1001, 23)]
+
+
+def test_a_page_is_the_solver_arrays_and_a_step_reads_python_values(fresh_feeder):
+    # The memo keeps what solve_batch returned for a page; the environment
+    # converts one row at the read, so its results carry no numpy scalars.
+    feeder = fresh_feeder("ieee123")
+    env = RestorationEnv(feeder)
+    env.reset()
+    valid = env.validate_joint(joint(1, 1, 1, 1, 1))
+    assert type(valid) is bool and valid
+    result = env.step(joint(1, 1, 1, 1, 1))
+    for value in (result.reward, result.served_kw, result.weighted_kw):
+        assert type(value) is float
+    assert type(result.constraints_ok) is bool
+    for (_, sub), pages, rows in zip(env._islands, env._pages, env._page_rows):
+        assert pages is powerflow._network_index(sub).pages and list(pages) == [(rows, 0)]
+        page = pages[rows, 0]
+        assert isinstance(page, powerflow.BatchVerdicts)
+        want = powerflow.solve_batch(sub, powerflow.page_states(sub, 0, rows))
+        for got, expected in zip(page, want):
+            assert type(got) is np.ndarray and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_the_memo_goes_with_its_feeder(fresh_feeder):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -188,6 +189,38 @@ def test_bad_bases_and_overflowing_values_are_parse_errors(ieee13, edit, where):
     edit(doc)
     with pytest.raises(FeederParseError, match=f"^bad field value {where}: "):
         load_feeder(json.dumps(doc).replace("Infinity", "1e400"))
+
+
+@pytest.mark.parametrize("path, value, where, kind", [
+    (("breakers", 0, "state"), 0.7, "breakers[0].state", "an integer"),
+    (("breakers", 0, "state"), 1.9, "breakers[0].state", "an integer"),
+    (("breakers", 2, "state"), True, "breakers[2].state", "an integer"),
+    (("breakers", 0, "state"), "1", "breakers[0].state", "an integer"),
+    (("buses", 0, "id"), 5, "buses[0].id", "a string"),
+    (("lines", 1, "to_bus"), ["b"], "lines[1].to_bus", "a string"),
+    (("loads", 0, "breaker_id"), None, "loads[0].breaker_id", "a string"),
+    (("partition", "1", 1), 6, "partition.1[1]", "a string"),
+    (("name",), 13, "name", "a string"),
+], ids=["state-0.7", "state-1.9", "state-true", "state-text", "bus-id-integer", "to-bus-list",
+        "breaker-id-null", "partition-id-integer", "name-integer"])
+def test_integer_and_string_fields_take_only_their_json_type(ieee13, path, value, where, kind):
+    # Nothing is truncated or stringified: 0.7 is not read as open, nor bus
+    # 5 as "5" (which would leave its lines pointing at a missing bus).
+    doc = json.loads(serialize_feeder(ieee13))
+    *keys, last = path
+    record = doc
+    for key in keys:
+        record = record[key]
+    record[last] = value
+    message = f"bad field value {where}: {json.dumps(value)} is not {kind}"
+    with pytest.raises(FeederParseError, match=f"^{re.escape(message)}$"):
+        load_feeder(json.dumps(doc))
+
+
+def test_float_fields_still_take_json_integers(ieee13):
+    doc = json.loads(serialize_feeder(ieee13))
+    doc["lines"][0]["s_rating"] = 5000
+    assert load_feeder(json.dumps(doc)).lines[0].s_rating == 5000.0
 
 
 @pytest.mark.parametrize("partition, message", [

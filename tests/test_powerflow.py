@@ -11,6 +11,7 @@ from gridrestore import (
     Line,
     LoadPoint,
     MicrogridPartition,
+    PowerFlowSolution,
     check_constraints,
     islands,
     restored_power,
@@ -20,6 +21,7 @@ from gridrestore import powerflow
 from gridrestore.powerflow import solve_batch
 from reference import (
     dense_reference_solve,
+    dict_check_constraints,
     joined_islands,
     random_multi_generator_feeder,
     random_radial_feeder,
@@ -189,6 +191,59 @@ def test_divergence_is_flagged_and_fails_all():
 def test_check_constraints_is_pure(ieee13):
     sol = solve(ieee13, [0, 1, 1, 0, 0, 0, 1, 0, 1])
     assert check_constraints(ieee13, sol) == check_constraints(ieee13, sol)
+
+
+def _fields(report):
+    # repr round-trips a float exactly, so equal reprs are equal bits.
+    return [(type(x), repr(x)) for x in dataclasses.astuple(report)]
+
+
+def _reports_match_the_dict_reference(feeder, rows):
+    reports = []
+    for states in rows:
+        sol = solve(feeder, states)
+        report = check_constraints(feeder, sol)
+        assert _fields(report) == _fields(dict_check_constraints(feeder, sol)), states
+        reports.append(report)
+    return reports
+
+
+def test_check_constraints_matches_the_dict_reference(ieee13, ieee123):
+    # The report read from solve's own row equals, field for field and bit
+    # for bit, the one rebuilt from the solution's dicts by id: every ieee13
+    # state, every ieee123 island sub-state on its island's sub-feeder,
+    # every state of seeded random feeders and the diverging two-bus feeder.
+    reports = _reports_match_the_dict_reference(ieee13, all_states(9))
+    for island in islands(ieee123):
+        reports += _reports_match_the_dict_reference(island.feeder,
+                                                     all_states(len(island.breakers)))
+    rng = np.random.default_rng(71)
+    for make in (random_radial_feeder, random_multi_generator_feeder):
+        for _ in range(8):
+            feeder = make(rng, max_breakers=6)
+            reports += _reports_match_the_dict_reference(feeder, all_states(feeder.n_breakers))
+    reports += _reports_match_the_dict_reference(two_bus(resistance=1.0, p_kw=500.0,
+                                                         p_max=5000.0), [[1]])
+    # Every constraint both holds and fails somewhere, and divergence occurs.
+    for name in ("all_ok", "power_balance_ok", "voltage_ok", "gen_p_ok", "gen_q_ok",
+                 "line_s_ok", "converged"):
+        assert {getattr(r, name) for r in reports} == {True, False}, name
+
+
+def test_check_constraints_refuses_a_solution_solve_did_not_make(ieee13):
+    sol = solve(ieee13, [0, 1, 1, 0, 0, 0, 1, 0, 1])
+    copy = PowerFlowSolution(**{f.name: getattr(sol, f.name)
+                                for f in dataclasses.fields(sol) if f.name != "_row"})
+    assert copy == sol
+    with pytest.raises(ValueError, match="made by solve"):
+        check_constraints(ieee13, copy)
+
+
+def test_a_report_does_not_follow_edits_to_the_dicts(ieee13):
+    sol = solve(ieee13, [0, 1, 1, 0, 0, 0, 1, 0, 1])
+    sagged = dataclasses.replace(sol, bus_voltages=dict.fromkeys(sol.bus_voltages, 0.5))
+    assert check_constraints(ieee13, sagged) == check_constraints(ieee13, sol)
+    assert check_constraints(ieee13, sol).voltage_ok
 
 
 def test_restored_power_examples(ieee13):
