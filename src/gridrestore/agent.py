@@ -46,6 +46,8 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:  # bool is an int subclass
+            raise ValueError(f"seed must be a non-negative int, not {self.seed!r}")
         if not 0 <= self.gamma < 1:
             raise ValueError("gamma must be in [0, 1)")
         if not 0 < self.alpha <= 1:

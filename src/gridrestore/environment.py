@@ -10,13 +10,11 @@ array: row i holds agent i's breaker bits in partition order, zero-padded to
 the widest agent, the layout of the learner's replay ring.
 Verdicts are solved and memoized per island (see ``powerflow.islands``): a
 state is feasible when every island's sub-state is. An island's bits, read as
-an integer code (bit j is its j-th breaker), give a page and a row by
-``divmod(code, rows)``, rows being ``powerflow.batch_rows(island)`` as read
-at construction. A page holds the ``BatchVerdicts`` arrays of one
-``solve_batch`` call, the oracle's batch (``powerflow.verdict_page`` fills
-it), and the environment holds each island's page dict. The pages belong to
-the feeder object, shared by every environment on it and freed with it; so
-in ``compare`` the first variant pays the page fills.
+an integer code (bit j is its j-th breaker), are looked up in the island's
+``powerflow.verdict_lookup``, held from construction, which solves a page of
+codes (the oracle's batch) on a miss. The pages belong to the feeder object,
+shared by every environment on it and freed with it; so in ``compare`` the
+first variant pays the page fills.
 
 Two reward modes:
 
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feeder import Feeder
-from .powerflow import _network_index, batch_rows, islands, verdict_page
+from .powerflow import islands, verdict_lookup
 
 
 class EpisodeExhausted(RuntimeError):
@@ -100,14 +98,13 @@ class RestorationEnv:
         self._place = np.zeros((len(self._islands), feeder.n_breakers), dtype=np.int64)
         for k, (positions, _) in enumerate(self._islands):
             self._place[k, list(positions)] = 1 << np.arange(len(positions))
-        self._page_rows = [batch_rows(sub) for _, sub in self._islands]
-        self._pages = [_network_index(sub).pages for _, sub in self._islands]
+        self._verdicts = [verdict_lookup(sub) for _, sub in self._islands]
         # (joint, candidate states, verdict) of the last validate_joint since
         # the state last changed; a step of that joint reuses them.
         self._validated: tuple | None = None
         if reward_mode == "masked":
-            for (_, sub), rows in zip(self._islands, self._page_rows):
-                if not verdict_page(sub, 0, rows).feasible[0]:  # code 0: the island all open
+            for (_, sub), verdict in zip(self._islands, self._verdicts):
+                if not verdict(0)[0]:  # code 0: the island all open
                     raise ValueError(
                         f"the island of generators {', '.join(g.id for g in sub.generators)} "
                         "violates a constraint with all breakers open; masked mode needs "
@@ -139,9 +136,7 @@ class RestorationEnv:
 
     def _candidate_states(self, actions) -> np.ndarray:
         if len(actions) != self.n_agents:
-            raise ValueError(
-                f"joint action has {len(actions)} entries for {self.n_agents} agents"
-            )
+            raise ValueError(f"joint action has {len(actions)} entries for {self.n_agents} agents")
         nxt = self._states.copy()
         for agent, (group, a) in enumerate(zip(self.agent_breakers, actions)):
             if not 0 <= a < 2 * len(group):
@@ -152,11 +147,9 @@ class RestorationEnv:
     def _feasibility(self, states: np.ndarray) -> tuple[bool, float, float]:
         """The AND of the island verdicts and the sums of their served power."""
         ok, served, weighted = True, 0.0, 0.0
-        for (_, sub), pages, rows, code in zip(self._islands, self._pages, self._page_rows,
-                                               self._place.dot(states).tolist()):
-            page, row = divmod(code, rows)
-            f, s, w, _ = pages.get((rows, page)) or verdict_page(sub, page, rows)
-            ok, served, weighted = ok and f.item(row), served + s.item(row), weighted + w.item(row)
+        for verdict, code in zip(self._verdicts, self._place.dot(states).tolist()):
+            f, s, w = verdict(code)
+            ok, served, weighted = ok and f, served + s, weighted + w
         return ok, served, weighted
 
     def validate_joint(self, actions) -> bool:
@@ -173,9 +166,7 @@ class RestorationEnv:
 
     def step(self, actions) -> StepResult:
         if self.step_count >= self.max_steps:
-            raise EpisodeExhausted(
-                f"episode already ran {self.max_steps} steps; reset() first"
-            )
+            raise EpisodeExhausted(f"episode already ran {self.max_steps} steps; reset() first")
         last, self._validated = self._validated, None
         if last is not None and last[0] == tuple(actions):
             _, nxt, (ok, served, weighted) = last
@@ -183,9 +174,7 @@ class RestorationEnv:
             nxt = self._candidate_states(actions)
             ok, served, weighted = self._feasibility(nxt[:-1])
         if self.reward_mode == "masked" and not ok:
-            raise InvalidJointAction(
-                "masked-mode step received a constraint-violating joint action"
-            )
+            raise InvalidJointAction("masked-mode step of a constraint-violating joint action")
         if ok:
             reward = weighted / self._denominator if self._denominator > 0 else 0.0
         else:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feeder import Feeder, feeder_hash
-from .powerflow import batch_rows, check_constraints, islands, page_states, solve, solve_batch
+from .powerflow import check_constraints, islands, page_states, solve, solve_batch
 
 MAX_BREAKERS = 26  # per island for ``decomposed``, per feeder for ``naive``
 
@@ -91,9 +91,9 @@ def decomposed_optimum(feeder: Feeder) -> OracleResult:
     feasible_product, solved = 1, 0
     for k, (positions, sub) in enumerate(islands(feeder)):
         best, feasible = None, 0
-        r = batch_rows(sub)
-        for page in range((2 ** sub.n_breakers - 1) // r + 1):
-            rows = page_states(sub, page, r)
+        page = 0
+        while len(rows := page_states(sub, page)):  # to the first page past 2^n
+            page += 1
             verdicts = solve_batch(sub, rows)
             ok, weighted = verdicts.feasible, verdicts.weighted_kw
             feasible, solved = feasible + int(ok.sum()), solved + len(rows)

@@ -59,6 +59,7 @@ class PowerFlowSolution:
     converged: bool
     iterations: int
     _row: _Sweep | None = field(default=None, repr=False, compare=False)  # solve's own row
+    _ids: tuple = field(default=(), repr=False, compare=False)  # its bus, line, generator ids
 
     @property
     def total_generation_kw(self) -> float:
@@ -177,7 +178,9 @@ class _NetworkIndex:
             self.adjacency[f].append((li, t))
             self.adjacency[t].append((li, f))
         self.islands: tuple[Island, ...] | None = None
-        self.pages: dict[tuple[int, int], BatchVerdicts] = {}
+        # Codes per verdict page, fixed here: a later budget reaches new feeders only.
+        self.page_rows = max(1, _BATCH_CELLS // max(1, self.n_buses))
+        self.pages: dict[int, BatchVerdicts] = {}
 
     def tree(self, start: int) -> list[tuple[int, int, int]]:
         """(bus, line into it, parent bus) over all lines from ``start``, breadth first."""
@@ -443,11 +446,6 @@ def _checks(idx: _NetworkIndex, sw: _Sweep, served_kw: np.ndarray):
                     gen_p_ok, gen_q_ok, line_ok, *_worst(loading, 0.0, loading, 0.0))
 
 
-def batch_rows(feeder: Feeder) -> int:
-    """Rows per ``solve_batch`` call that keep it within ``_BATCH_CELLS``."""
-    return max(1, _BATCH_CELLS // len(feeder.buses))
-
-
 def solve_batch(feeder: Feeder, states) -> BatchVerdicts:
     """Solve and check every row of a (rows, breakers) array of states at once.
 
@@ -460,25 +458,28 @@ def solve_batch(feeder: Feeder, states) -> BatchVerdicts:
     return BatchVerdicts(_checks(idx, sw, served)[0], served, weighted, sw.iterations)
 
 
-def page_states(feeder: Feeder, page: int, rows: int) -> np.ndarray:
-    """State rows of the ``rows`` codes from ``page * rows``, the last page
-    cut at 2^breakers; bit j of a code is breaker j."""
-    n = len(feeder.breakers)
+def page_states(feeder: Feeder, page: int) -> np.ndarray:
+    """State rows of the feeder's verdict page ``page``: ``page_rows`` codes
+    from ``page * page_rows``, cut at 2^breakers (no rows past the last page);
+    bit j of a code is breaker j."""
+    n, rows = len(feeder.breakers), _network_index(feeder).page_rows
     codes = np.arange(page * rows, min((page + 1) * rows, 1 << n))
     return (codes[:, None] >> np.arange(n)) & 1
 
 
-def verdict_page(feeder: Feeder, page: int, rows: int) -> BatchVerdicts:
-    """``solve_batch``'s verdict arrays on ``page_states(feeder, page, rows)``.
-    Memoized on the feeder object under (rows, page), so every caller on it
-    shares the pages; a miss solves the page as one batch. The caller fixes
-    ``rows`` (usually ``batch_rows(feeder)``) and indexes rows of that page.
-    """
-    pages = _network_index(feeder).pages
-    verdicts = pages.get((rows, page))
-    if verdicts is None:
-        verdicts = pages[rows, page] = solve_batch(feeder, page_states(feeder, page, rows))
-    return verdicts
+def verdict_lookup(feeder: Feeder):
+    """``code -> (feasible, served kW, weighted kW)`` as Python values, bit j of
+    ``code`` being breaker j, read from the memo every lookup on the feeder
+    object shares: ``solve_batch``'s arrays per ``page_states`` page, solved on a miss."""
+    idx = _network_index(feeder)
+    pages, rows = idx.pages, idx.page_rows
+
+    def verdict(code: int) -> tuple[bool, float, float]:
+        page, row = divmod(code, rows)
+        v = pages.get(page) or pages.setdefault(page, solve_batch(feeder, page_states(feeder, page)))
+        return v.feasible.item(row), v.served_kw.item(row), v.weighted_kw.item(row)
+
+    return verdict
 
 
 def solve(feeder: Feeder, states) -> PowerFlowSolution:
@@ -498,6 +499,7 @@ def solve(feeder: Feeder, states) -> PowerFlowSolution:
         converged=bool(sw.converged[0]),
         iterations=int(sw.iterations[0]),
         _row=sw,
+        _ids=(idx.bus_ids, idx.line_ids, idx.gen_ids),
     )
 
 
@@ -508,15 +510,20 @@ _DIVERGED = ConstraintReport(
 
 def check_constraints(feeder: Feeder, solution: PowerFlowSolution) -> ConstraintReport:
     """Evaluate the operating constraints at the row ``solve`` kept on the
-    solution, against ``feeder``'s limits; edits to its dicts do not count.
-    Divergence fails everything. De-energized buses and generators are exempt
-    from the voltage and injection-box checks (they are not operating).
+    solution, against the limits of ``feeder``, which must have the solution's
+    bus, line and generator ids; edits to its dicts do not count. Divergence
+    fails everything. De-energized buses and generators are exempt from the
+    voltage and injection-box checks (they are not operating).
     """
     if solution._row is None:
         raise ValueError("check_constraints needs a PowerFlowSolution made by solve")
+    idx = _network_index(feeder)
+    for kind, solved, own in zip(("bus", "line", "generator"), solution._ids,
+                                 (idx.bus_ids, idx.line_ids, idx.gen_ids)):
+        if solved != own:
+            raise ValueError(f"the solution's {kind} ids are not those of feeder {feeder.name!r}")
     if not solution.converged:
         return _DIVERGED
-    idx = _network_index(feeder)
     _, fields = _checks(idx, solution._row, np.array([solution.served_load_kw]))
     balance, margin, v_ok, bus, v_worst, p_ok, q_ok, s_ok, line, loading = (f[0].item() for f in fields)
     return ConstraintReport(

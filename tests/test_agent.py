@@ -414,3 +414,12 @@ def test_hyperparameter_validation():
     with pytest.raises(ValueError, match="batch_size 33 exceeds the replay capacity 32"):
         Hyperparameters(batch_size=33, capacity=32)
     assert Hyperparameters(batch_size=32, capacity=32).capacity == 32
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(3), "3", None])
+def test_seed_must_be_a_non_negative_int(seed):
+    # numpy's generators take no negative seed, and a float one fails with a
+    # TypeError deep in training; both are refused where the seed is set.
+    with pytest.raises(ValueError, match="seed must be a non-negative int"):
+        Hyperparameters(seed=seed)
+    assert Hyperparameters(seed=0).seed == 0 and Hyperparameters(seed=2 ** 40).seed == 2 ** 40

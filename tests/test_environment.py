@@ -32,6 +32,20 @@ from gridrestore import oracle, powerflow
 from reference import joined_islands, random_multi_generator_feeder, random_radial_feeder
 
 DEFAULT_CELLS = powerflow._BATCH_CELLS
+DEFAULT_ROWS_123 = [91, 163, 240, 256, 204]  # ieee123 islands of 45, 25, 17, 16 and 20 buses
+
+
+def page_rows(feeder):
+    """Each island's rows per verdict page, as its network index fixed them."""
+    return [powerflow._network_index(sub).page_rows for _, sub in islands(feeder)]
+
+
+def assert_pages_are_whole(feeder):
+    """Every filled page of every island holds its index's rows, the last cut at 2^n."""
+    for _, sub in islands(feeder):
+        idx = powerflow._network_index(sub)
+        r, n = idx.page_rows, sub.n_breakers
+        assert all(len(v.feasible) == min(r, 2 ** n - page * r) for page, v in idx.pages.items())
 
 
 def joint(*indices):
@@ -444,8 +458,10 @@ def test_island_verdicts_equal_whole_feeder_solves(monkeypatch, ieee13, ieee123)
     # Seeded multi-island feeders: breakers interleaved across islands, one
     # agent spanning two, split multi-generator islands, p_min > 0, and
     # fractional kW. Budgets of 1 and 12 cells give one-row and 2- to 4-row
-    # pages on these islands. Island sums add in island order, the whole
-    # feeder's in load order, so only their kW may differ, in the last bits.
+    # pages on these islands; a page's rows are fixed when its island is
+    # indexed, so each budget reads a feeder object of its own. Island sums
+    # add in island order, the whole feeder's in load order, so only their kW
+    # may differ, in the last bits.
     rng = np.random.default_rng(59)
     for tree_of in (random_radial_feeder, random_multi_generator_feeder):
         for _ in range(5):
@@ -459,37 +475,45 @@ def test_island_verdicts_equal_whole_feeder_solves(monkeypatch, ieee13, ieee123)
                 assert (served, weighted) == pytest.approx(whole[1:], rel=1e-12, abs=1e-12)
             for cells in (1, 12, DEFAULT_CELLS):
                 monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
-                env = RestorationEnv(feeder, reward_mode="penalty")
+                env = RestorationEnv(dataclasses.replace(feeder), reward_mode="penalty")
+                assert page_rows(env.feeder) == [max(1, cells // len(sub.buses))
+                                                 for _, sub in islands(feeder)]
                 assert [env._feasibility(states) for states in all_states] == expected
+                assert_pages_are_whole(env.feeder)
 
 
-def test_page_size_does_not_change_verdicts_or_training(monkeypatch, ieee123):
+def test_page_size_does_not_change_verdicts_or_training(monkeypatch, fresh_feeder):
     # One-row pages are the per-state memo; 7 x 45 cells give 7-row pages on
-    # the 45-bus, 10-breaker microgrid 1 and the default 91-row pages.
+    # the 45-bus, 10-breaker microgrid 1 and the default 91-row pages. Each
+    # budget runs on a feeder object indexed under it.
     states = np.random.default_rng(61).integers(0, 2, (300, 26)).astype(np.int8)
     cfg = TrainingConfig(episodes=5, hyper=Hyperparameters(seed=3, gamma=0.95),
                          schedule=EpsilonSchedule(decay=0.004))
-    outcomes, page_rows = [], []
+    outcomes, rows = [], []
     for cells in (1, 7 * 45, DEFAULT_CELLS):
         monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
-        env = RestorationEnv(ieee123)
+        feeder = fresh_feeder("ieee123")
+        env = RestorationEnv(feeder)
         verdicts = [env._feasibility(s) for s in states]
-        models, logs = train(ieee123, cfg)
-        weights = [w.tobytes() for pair in models for w in (*pair.main.weights, *pair.main.biases)]
-        outcomes.append((verdicts, logs, weights))
-        page_rows.append(env._page_rows)
-    assert page_rows == [[1] * 5, [7, 12, 18, 19, 15], [91, 163, 240, 256, 204]]
+        models, logs = train(feeder, cfg)
+        outcomes.append((verdicts, logs, weight_bytes(models)))
+        rows.append(page_rows(feeder))
+        assert_pages_are_whole(feeder)
+    assert rows == [[1] * 5, [7, 12, 18, 19, 15], DEFAULT_ROWS_123]
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def count_page_fills(monkeypatch, module=powerflow):
     """Record (feeder, first code, rows) of every ``solve_batch`` call made
-    through ``module``: the page fills, for ``powerflow``."""
+    through ``module``: the page fills, for ``powerflow``. Each call must
+    solve one whole page, ``page_states`` under the feeder's page rows."""
     fills = []
     inner = powerflow.solve_batch
 
     def counting(feeder, states):
         first = int(states[0] @ (1 << np.arange(states.shape[1])))  # row 0's code
+        page, off = divmod(first, powerflow._network_index(feeder).page_rows)
+        assert off == 0 and np.array_equal(states, powerflow.page_states(feeder, page))
         fills.append((feeder, first, len(states)))
         return inner(feeder, states)
 
@@ -557,44 +581,62 @@ def test_masked_env_requires_feasible_all_open(monkeypatch, fresh_feeder):
 
 
 def test_pages_of_different_sizes_never_mix(monkeypatch, fresh_feeder):
-    # Island pages of 91/163/240/256/204 rows, 7/12/18/19/15 rows and 1 row
-    # on one feeder object: each size fills pages of its own, and a return
-    # to the first size reads the pages already filled.
-    feeder = fresh_feeder("ieee123")
+    # Island pages of 91/163/240/256/204 rows, 7/12/18/19/15 rows and 1 row,
+    # each on a feeder object indexed under its budget: each size fills
+    # whole pages of its own islands only, and a return to the first feeder
+    # object under another budget reads the pages already filled.
     states = np.random.default_rng(61).integers(0, 2, (300, 26)).astype(np.int8)
     fills = count_page_fills(monkeypatch)
-    outcomes = []
-    for cells, refilled in ((DEFAULT_CELLS, {0, 1, 2, 3, 4}), (7 * 45, {0, 1, 2, 3, 4}),
-                            (1, {0, 1, 2, 3, 4}), (DEFAULT_CELLS, set())):
+    outcomes, feeders = [], []
+    for cells, rows in ((DEFAULT_CELLS, DEFAULT_ROWS_123), (7 * 45, [7, 12, 18, 19, 15]),
+                        (1, [1] * 5)):
         monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
         fills.clear()
+        feeder = fresh_feeder("ieee123")
         env = RestorationEnv(feeder)
         outcomes.append([env._feasibility(s) for s in states])
-        rows = {id(sub): r for (_, sub), r in zip(env._islands, env._page_rows)}
-        assert all(first % rows[id(f)] == 0 and n == min(rows[id(f)], 2 ** f.n_breakers - first)
-                   for f, first, n in fills)
-        filled = {k for k, (_, sub) in enumerate(env._islands) if any(f is sub for f, *_ in fills)}
-        assert filled == refilled
+        assert page_rows(feeder) == rows
+        subs = [sub for _, sub in islands(feeder)]
+        assert fills and all(any(f is sub for sub in subs) for f, *_ in fills)
+        feeders.append(feeder)
+    fills.clear()
+    env = RestorationEnv(feeders[0])
+    outcomes.append([env._feasibility(s) for s in states])
+    assert fills == []
     assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
-    for _, sub in islands(feeder):
-        pages = powerflow._network_index(sub).pages
-        assert all(len(v.feasible) == min(r, 2 ** sub.n_breakers - page * r)
-                   for (r, page), v in pages.items())
+    for feeder in feeders:
+        assert_pages_are_whole(feeder)
 
 
 def test_an_environment_keeps_its_page_rows_when_the_budget_changes(monkeypatch, fresh_feeder):
-    # An environment fixes each island's page rows at construction. A budget
-    # changed afterwards (7-row pages on microgrid 1) neither moves its row
-    # indices onto pages of the new size nor changes a verdict, for an
-    # environment with filled pages and for one without.
+    # An island's page rows are fixed when its index is built. A budget
+    # changed afterwards (7-row pages on microgrid 1, then one-row pages)
+    # neither re-pages a feeder object already indexed nor changes a verdict,
+    # for an environment with filled pages and for one without; a new feeder
+    # object, from builtin_feeder or dataclasses.replace, pages by the new
+    # budget and reads the same verdicts.
     states = np.random.default_rng(67).integers(0, 2, (300, 26)).astype(np.int8)
     warm = RestorationEnv(fresh_feeder("ieee123"))
     expected = [warm._feasibility(s) for s in states]
     cold = RestorationEnv(fresh_feeder("ieee123"), reward_mode="penalty")
-    monkeypatch.setattr(powerflow, "_BATCH_CELLS", 7 * 45)
-    assert [warm._feasibility(s) for s in states] == expected
-    assert [cold._feasibility(s) for s in states] == expected
-    assert cold._page_rows == warm._page_rows == [91, 163, 240, 256, 204]
+    fills = count_page_fills(monkeypatch)
+    feeders = [warm.feeder, cold.feeder]
+    for cells, rows in ((7 * 45, [7, 12, 18, 19, 15]), (1, [1] * 5)):
+        monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
+        fills.clear()
+        assert [RestorationEnv(warm.feeder)._feasibility(s) for s in states] == expected
+        assert fills == []  # the warm feeder's pages serve a new environment too
+        assert [cold._feasibility(s) for s in states] == expected
+        assert page_rows(warm.feeder) == page_rows(cold.feeder) == DEFAULT_ROWS_123
+        for feeder in (fresh_feeder("ieee123"), dataclasses.replace(warm.feeder)):
+            fills.clear()
+            env = RestorationEnv(feeder, reward_mode="penalty")
+            assert [env._feasibility(s) for s in states] == expected
+            assert page_rows(feeder) == rows
+            assert fills
+            feeders.append(feeder)
+    for feeder in feeders:
+        assert_pages_are_whole(feeder)
 
 
 def test_oracle_solves_the_pages_an_environment_fills(monkeypatch, fresh_feeder):
@@ -634,11 +676,12 @@ def test_a_page_is_the_solver_arrays_and_a_step_reads_python_values(fresh_feeder
     for value in (result.reward, result.served_kw, result.weighted_kw):
         assert type(value) is float
     assert type(result.constraints_ok) is bool
-    for (_, sub), pages, rows in zip(env._islands, env._pages, env._page_rows):
-        assert pages is powerflow._network_index(sub).pages and list(pages) == [(rows, 0)]
-        page = pages[rows, 0]
+    for _, sub in env._islands:
+        pages = powerflow._network_index(sub).pages
+        assert list(pages) == [0]
+        page = pages[0]
         assert isinstance(page, powerflow.BatchVerdicts)
-        want = powerflow.solve_batch(sub, powerflow.page_states(sub, 0, rows))
+        want = powerflow.solve_batch(sub, powerflow.page_states(sub, 0))
         for got, expected in zip(page, want):
             assert type(got) is np.ndarray and got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()

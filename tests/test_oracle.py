@@ -336,10 +336,15 @@ def test_solved_count_per_method(ieee13, ieee123):
     assert (result.solved_count, result.evaluated_count) == (1104, 2**26)
 
 
-def test_batch_size_does_not_change_the_result(monkeypatch, ieee123):
+def test_batch_size_does_not_change_the_result(monkeypatch, ieee123, fresh_feeder):
+    # 7-row batches on microgrid 1, then one-row batches: page rows are fixed
+    # when an island is indexed, so each budget solves a new feeder object.
     default = brute_force(ieee123)
-    monkeypatch.setattr(powerflow, "_BATCH_CELLS", 7 * 45)  # 7-row batches on microgrid 1
-    assert brute_force(ieee123) == default
+    for cells, rows in ((7 * 45, [7, 12, 18, 19, 15]), (1, [1] * 5)):
+        monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
+        feeder = fresh_feeder("ieee123")
+        assert brute_force(feeder) == default
+        assert [powerflow._network_index(sub).page_rows for _, sub in islands(feeder)] == rows
 
 
 def test_result_cache_round_trip(tmp_path, ieee13):

@@ -239,6 +239,32 @@ def test_check_constraints_refuses_a_solution_solve_did_not_make(ieee13):
         check_constraints(ieee13, copy)
 
 
+def test_check_constraints_refuses_a_solution_of_another_feeder(ieee13, ieee123, fresh_feeder):
+    # ieee123 islands of 45 and 25 buses: other bus ids, and other counts.
+    first, second = (sub for _, sub in islands(ieee123)[:2])
+    assert (len(first.buses), len(second.buses)) == (45, 25)
+    with pytest.raises(ValueError, match="the solution's bus ids are not those of feeder"):
+        check_constraints(first, solve(second, [1] * second.n_breakers))
+    # Equal counts, one id renamed: a check by position would read the wrong
+    # element without a word.
+    states = [0, 1, 1, 0, 0, 0, 1, 0, 1]
+    sol = solve(ieee13, states)
+    switched = {b.line_id for b in ieee13.breakers}
+    free = next(ln for ln in ieee13.lines if ln.id not in switched)
+    renamed = {
+        "line": dataclasses.replace(ieee13, lines=tuple(
+            dataclasses.replace(ln, id="renamed") if ln is free else ln for ln in ieee13.lines)),
+        "generator": dataclasses.replace(ieee13, generators=(
+            dataclasses.replace(ieee13.generators[0], id="renamed"), *ieee13.generators[1:])),
+    }
+    for kind, feeder in renamed.items():
+        with pytest.raises(ValueError, match=f"the solution's {kind} ids are not those"):
+            check_constraints(feeder, sol)
+        assert check_constraints(feeder, solve(feeder, states)).all_ok
+    # Another feeder object with the same ids is accepted.
+    assert check_constraints(fresh_feeder("ieee13"), sol) == check_constraints(ieee13, sol)
+
+
 def test_a_report_does_not_follow_edits_to_the_dicts(ieee13):
     sol = solve(ieee13, [0, 1, 1, 0, 0, 0, 1, 0, 1])
     sagged = dataclasses.replace(sol, bus_voltages=dict.fromkeys(sol.bus_voltages, 0.5))
