@@ -54,10 +54,10 @@ class Hyperparameters:
             raise ValueError("alpha must be in (0, 1]")
         if not 0 < self.eta < np.inf:  # False for NaN too
             raise ValueError(f"eta must be positive and finite, not {self.eta}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
+        for name in ("batch_size", "capacity"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be at least 1 and an int, not {value!r}")
         if self.batch_size > self.capacity:
             raise ValueError(
                 f"batch_size {self.batch_size} exceeds the replay capacity "

@@ -5,10 +5,11 @@ path-matrix (BIBC/BCBV) form of Teng, "A direct approach for distribution
 system load flow solutions" (IEEE Trans. Power Delivery, 2003). For each
 generator r, the full-closure tree rooted at r gives a path matrix A_r
 (buses x lines) with A_r[b, l] = 1 when line l lies on the path from r to bus
-b. A batch of breaker-state rows is solved at once:
+b (A_r.T is read as a view). A batch of breaker-state rows is solved at once:
 
     open lines:       open = (1 - bits) @ LB.T    (LB: line-by-breaker incidence)
     energized buses:  reach_r = (open @ A_r.T == 0)
+    bus loads:        S = energized * S_bus       (S_bus: each bus's loads, summed)
     backward:         I = (conj(S / V) * reach_r) @ A_r
     forward:          V = 1 - (z * I) @ A_r.T
 
@@ -115,8 +116,7 @@ class _Root(NamedTuple):
 
     gen: int
     bus: int
-    path: np.ndarray       # (buses, lines) complex A_r
-    path_t: np.ndarray     # A_r.T, contiguous
+    path: np.ndarray       # (buses, lines) complex A_r; A_r.T is read as a view
     in_tree: np.ndarray    # (buses,) bool
     up: np.ndarray         # (lines,) end of each tree line nearer the root
     at_root: np.ndarray    # (lines,) 1.0 on tree lines leaving the root bus
@@ -161,9 +161,9 @@ class _NetworkIndex:
         load_p = np.array([ld.p_rated for ld in feeder.loads], dtype=float)
         # (loads, 2): rated kW and weighted kW of each load
         self.load_kw = np.stack([load_p, load_p * np.array([ld.weight for ld in feeder.loads])], 1)
-        self.load_s = np.array([complex(ld.p_rated, ld.q_rated) / self.s_base for ld in feeder.loads])
-        self.load_at_bus = np.zeros((len(feeder.loads), self.n_buses), dtype=complex)
-        self.load_at_bus[np.arange(len(feeder.loads)), self.load_bus] = 1.0
+        load_s = [complex(ld.p_rated, ld.q_rated) / self.s_base for ld in feeder.loads]
+        self.bus_s = np.zeros(self.n_buses, dtype=complex)  # p.u. load per bus, in load order
+        np.add.at(self.bus_s, self.load_bus, load_s)  # a bus's loads are served together
         self.gen_bus = np.array([bus_pos[g.bus_id] for g in feeder.generators], dtype=np.intp)
         self.gen_p_max = np.array([g.p_max for g in feeder.generators])
         self.gen_p_min = np.array([g.p_min for g in feeder.generators])
@@ -211,7 +211,7 @@ class _NetworkIndex:
                 up[li] = u
                 at_root[li] = u == bus
             path = path.astype(complex)
-            out.append(_Root(g, bus, path, np.ascontiguousarray(path.T), in_tree, up, at_root))
+            out.append(_Root(g, bus, path, in_tree, up, at_root))
         return tuple(out)
 
 
@@ -283,7 +283,7 @@ def _reach(idx: _NetworkIndex, closed: np.ndarray):
     energized = np.zeros((len(closed), idx.n_buses), dtype=bool)
     reach = []
     for root in idx.roots:
-        r = ((open_count @ root.path_t) == 0) & root.in_tree
+        r = ((open_count @ root.path.T) == 0) & root.in_tree
         r[energized[:, root.bus]] = False  # an earlier, larger root feeds this island
         if r.any():
             energized |= r
@@ -337,7 +337,7 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
     rows, n_gens = len(closed), len(idx.gen_bus)
     open_count, energized, reach = _reach(idx, closed)
     served = energized[:, idx.load_bus]
-    s_load = (served * idx.load_s) @ idx.load_at_bus  # p.u. per bus
+    s_load = energized * idx.bus_s  # p.u. per bus
     slack = np.zeros((rows, n_gens), dtype=bool)
     gen_fq = np.zeros((rows, n_gens))
     live = []  # per root: [reach, member generators, island demand kW, island p_max]
@@ -380,7 +380,7 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
             v_new, i_line = v, np.zeros((len(ids), len(z)), dtype=complex)
             for k, ((root, _), (r, *_)) in enumerate(zip(reach, live)):
                 i_k = (i_bus * r) @ root.path  # backward: branch currents
-                v_new = np.where(r, 1.0 - (z * i_k) @ root.path_t, v_new)  # forward
+                v_new = np.where(r, 1.0 - (z * i_k) @ root.path.T, v_new)  # forward
                 loss[k] = (z.real * np.abs(i_k) ** 2).sum(axis=1)
                 i_line += i_k
             finite = np.isfinite(v_new).all(axis=1)

@@ -59,16 +59,16 @@ class TrainingConfig:
     schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
 
     def __post_init__(self):
-        if self.episodes < 0:
-            raise ValueError("episodes must be non-negative")
-        if self.steps_per_episode <= 0 or self.sync_interval <= 0:
-            raise ValueError("step counters must be positive")
+        for name, least in (("episodes", 0), ("steps_per_episode", 1), ("sync_interval", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # bool is an int subclass
+                raise ValueError(f"{name} must be at least {least} and an int, not {value!r}")
         if self.agent_mode not in ("multi", "single"):
             raise ValueError(f"unknown agent_mode {self.agent_mode!r}")
         if not np.isfinite(self.penalty):
             raise ValueError(f"penalty must be finite, not {self.penalty}")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError(f"hidden layer sizes must be at least 1, got {self.hidden_sizes}")
+        if any(type(h) is not int or h < 1 for h in self.hidden_sizes):
+            raise ValueError(f"hidden layer sizes must be at least 1 and ints, got {self.hidden_sizes}")
 
     @property
     def seed(self) -> int:

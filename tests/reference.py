@@ -140,44 +140,49 @@ def random_multi_generator_feeder(
     return dataclasses.replace(base, generators=(g0, *extra))
 
 
+def _prefixed(tree: Feeder, prefix: str, load=lambda ld: {}, generator=lambda g: {}) -> Feeder:
+    """``tree`` with ``prefix`` on every id and reference; ``load(ld)`` and
+    ``generator(g)`` give more fields to replace, called in element order."""
+    def rename(name):
+        return prefix + name
+
+    return dataclasses.replace(
+        tree,
+        buses=tuple(dataclasses.replace(b, id=rename(b.id)) for b in tree.buses),
+        lines=tuple(
+            dataclasses.replace(
+                ln, id=rename(ln.id), from_bus=rename(ln.from_bus), to_bus=rename(ln.to_bus)
+            )
+            for ln in tree.lines
+        ),
+        breakers=tuple(
+            dataclasses.replace(b, id=rename(b.id), line_id=rename(b.line_id))
+            for b in tree.breakers
+        ),
+        loads=tuple(
+            dataclasses.replace(ld, id=rename(ld.id), bus_id=rename(ld.bus_id), **load(ld))
+            for ld in tree.loads
+        ),
+        generators=tuple(
+            dataclasses.replace(g, id=rename(g.id), bus_id=rename(g.bus_id), **generator(g))
+            for g in tree.generators
+        ),
+    )
+
+
 def joined_islands(rng, tree_of=random_radial_feeder):
     """2-3 random trees as one feeder: breakers interleaved across islands,
     agent 0 owning a breaker in two of them, p_min > 0 and weights < 1."""
-    parts = []
-    for t in range(int(rng.integers(2, 4))):
-        tree = tree_of(rng, max_buses=5, max_breakers=3)
-
-        def rename(name, prefix=f"t{t}"):
-            return prefix + name
-
-        parts.append(dataclasses.replace(
-            tree,
-            buses=tuple(dataclasses.replace(b, id=rename(b.id)) for b in tree.buses),
-            lines=tuple(
-                dataclasses.replace(
-                    ln, id=rename(ln.id), from_bus=rename(ln.from_bus), to_bus=rename(ln.to_bus)
-                )
-                for ln in tree.lines
-            ),
-            breakers=tuple(
-                dataclasses.replace(b, id=rename(b.id), line_id=rename(b.line_id))
-                for b in tree.breakers
-            ),
-            loads=tuple(
-                dataclasses.replace(
-                    ld, id=rename(ld.id), bus_id=rename(ld.bus_id),
-                    weight=float(np.round(rng.uniform(0.2, 1.0), 2)),
-                )
-                for ld in tree.loads
-            ),
-            generators=tuple(
-                dataclasses.replace(
-                    g, id=rename(g.id), bus_id=rename(g.bus_id),
-                    p_min=float(np.round(max(0.0, rng.uniform(-0.2, 0.2)) * g.p_max, 1)),
-                )
-                for g in tree.generators
-            ),
-        ))
+    parts = [
+        _prefixed(
+            tree_of(rng, max_buses=5, max_breakers=3), f"t{t}",
+            load=lambda ld: {"weight": float(np.round(rng.uniform(0.2, 1.0), 2))},
+            generator=lambda g: {
+                "p_min": float(np.round(max(0.0, rng.uniform(-0.2, 0.2)) * g.p_max, 1))
+            },
+        )
+        for t in range(int(rng.integers(2, 4)))
+    ]
     breakers = [b for part in parts for b in part.breakers]
     order = rng.permutation(len(breakers))
     shared = (parts[0].breakers[0].id, parts[1].breakers[0].id)
@@ -195,6 +200,55 @@ def joined_islands(rng, tree_of=random_radial_feeder):
         loads=tuple(ld for part in parts for ld in part.loads),
         generators=tuple(g for part in parts for g in part.generators),
         partition=MicrogridPartition((shared, *rest)),
+    )
+
+
+def crowded(rng, feeder: Feeder) -> Feeder:
+    """``feeder`` with two more loads on one bus that holds no generator (any
+    bus if every one does) and a second generator on a generator's bus, so a
+    bus carries two loads (three if it had one) and a bus two generators."""
+    taken = {g.bus_id for g in feeder.generators}
+    bus = str(rng.choice([b.id for b in feeder.buses if b.id not in taken]
+                         or [b.id for b in feeder.buses]))
+    loads = tuple(
+        LoadPoint(f"ldx{k}", bus, p, round(p * 0.33, 1), float(np.round(rng.uniform(0.2, 1.0), 2)), "")
+        for k, p in enumerate(np.round(rng.uniform(20.0, 150.0, size=2), 1).tolist())
+    )
+    twin = feeder.generators[int(rng.integers(len(feeder.generators)))]
+    p_max = round(twin.p_max * float(rng.uniform(0.3, 0.8)), 1)
+    generator = Generator("gx", twin.bus_id, 0.0, p_max, 0.0, round(0.7 * p_max, 1))
+    return dataclasses.replace(feeder, loads=feeder.loads + loads,
+                               generators=feeder.generators + (generator,))
+
+
+def study_feeder_8500() -> Feeder:
+    """A seeded feeder of the shape of the paper's 8500-node study.
+
+    Ten ``random_radial_feeder`` trees of 700-850 buses and 7-8 breakers,
+    drawn from ``default_rng(8500)`` by rejection, each tree's ids prefixed
+    ``t<k>``, loads and generators scaled by 1/200 so that the sweeps
+    converge over trees this deep, and one agent per tree.
+    """
+    rng = np.random.default_rng(8500)
+    trees = []
+    while len(trees) < 10:
+        tree = random_radial_feeder(rng, max_buses=850, max_breakers=8)
+        if len(tree.buses) >= 700 and len(tree.breakers) >= 7:
+            trees.append(tree)
+    scaled = ("p_rated", "q_rated", "p_min", "p_max", "q_min", "q_max")
+    parts = [
+        _prefixed(tree, f"t{k}",
+                  load=lambda ld: {f: getattr(ld, f) / 200 for f in scaled[:2]},
+                  generator=lambda g: {f: getattr(g, f) / 200 for f in scaled[2:]})
+        for k, tree in enumerate(trees)
+    ]
+    return Feeder(
+        name="study-8500",
+        s_base_kva=1000.0,
+        v_base_kv=4.16,
+        **{key: tuple(x for part in parts for x in getattr(part, key))
+           for key in ("buses", "lines", "breakers", "loads", "generators")},
+        partition=MicrogridPartition(tuple(tuple(b.id for b in part.breakers) for part in parts)),
     )
 
 

@@ -414,6 +414,12 @@ def test_hyperparameter_validation():
     with pytest.raises(ValueError, match="batch_size 33 exceeds the replay capacity 32"):
         Hyperparameters(batch_size=33, capacity=32)
     assert Hyperparameters(batch_size=32, capacity=32).capacity == 32
+    # A count takes an int only: a float one failed later, inside numpy.
+    for wrong in ({"batch_size": 2.5, "capacity": 10}, {"capacity": 100.5}, {"batch_size": True},
+                  {"capacity": np.int64(64)}):
+        name, value = next(iter(wrong.items()))
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1 and an int, not {re.escape(repr(value))}$"):
+            Hyperparameters(**wrong)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(3), "3", None])

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,15 +20,20 @@ from gridrestore import (
     check_constraints,
     decomposed_optimum,
     islands,
+    restored_power,
     solve,
+    validate_feeder,
 )
 from gridrestore import oracle, powerflow
 from gridrestore.oracle import load_result, save_result
 from reference import (
+    crowded,
+    dense_reference_solve,
     joined_islands,
     random_multi_generator_feeder,
     random_radial_feeder,
     recursive_best,
+    study_feeder_8500,
 )
 
 IEEE13_BEST = (0, 1, 1, 0, 0, 0, 1, 0, 1)  # cb2, cb3, cb7, cb9
@@ -326,6 +333,58 @@ def test_strategies_agree_on_multi_generator_feeders():
         assert strip_method(naive) == strip_method(decomposed)
         agreed += 1
     assert agreed >= 8
+
+
+def test_loads_and_generators_sharing_a_bus():
+    # The sweep sums each bus's loads once, as one per-bus rating; that is
+    # exact because a bus's loads are served together. Two loads (three where
+    # the bus had one) share a bus, and two generators share another.
+    rng = np.random.default_rng(59)
+    solved = checked = total = 0
+    for make in (random_radial_feeder, random_multi_generator_feeder) * 8:
+        feeder = crowded(rng, make(rng, max_breakers=6))
+        assert max(Counter(ld.bus_id for ld in feeder.loads).values()) >= 2
+        assert max(Counter(g.bus_id for g in feeder.generators).values()) == 2
+        n = feeder.n_breakers
+        states = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        total += len(states)
+        served_kw = powerflow.solve_batch(feeder, states).served_kw
+        assert served_kw.tolist() == [restored_power(feeder, s)[0] for s in states]
+        for s in states:
+            sol = solve(feeder, s)
+            volts, _, ref_ok = dense_reference_solve(feeder, s)
+            if sol.converged and ref_ok:
+                checked += 1
+                assert max(abs(sol.bus_voltages[b] - v) for b, v in volts.items()) < 1e-5
+        try:
+            result = brute_force(feeder)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                brute_force(feeder, method="naive")
+            continue
+        assert_matches_naive(feeder, result)
+        solved += 1
+    assert solved >= 10 and checked >= 0.9 * total and total >= 150
+
+
+@pytest.mark.slow
+def test_study_feeder_8500_islands_and_oracle_stay_small():
+    # Ten ~800-bus trees, the shape of the paper's 8500-node study. No index
+    # may hold a (loads x buses) matrix or a second copy of a path matrix:
+    # one such load matrix for the whole feeder takes about 650 MiB.
+    feeder = study_feeder_8500()
+    assert validate_feeder(feeder) == []
+    assert (len(feeder.buses), feeder.n_breakers, feeder.partition.n_agents) == (7715, 76, 10)
+    peaks = []  # MiB: islands() first, then the oracle on the indexed islands
+    for run in (islands, brute_force):
+        tracemalloc.start()
+        try:
+            result = run(feeder)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 50 and peaks[1] < 250, f"tracemalloc peaks {peaks} MiB"
+    assert (result.method, result.solved_count, result.evaluated_count) == ("decomposed", 2048, 2 ** 76)
 
 
 def test_solved_count_per_method(ieee13, ieee123):

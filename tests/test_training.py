@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +60,21 @@ def quick_cfg(seed=0, **kw):
     return TrainingConfig(**defaults)
 
 
-@pytest.mark.parametrize("hidden", [(0,), (64, -3), (8, 0, 8)])
+@pytest.mark.parametrize("hidden", [(0,), (64, -3), (8, 0, 8), (8.5,), (64, True)])
 def test_config_rejects_hidden_sizes_below_one(hidden):
     with pytest.raises(ValueError, match="hidden layer sizes must be at least 1"):
         TrainingConfig(hidden_sizes=hidden)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("episodes", -1), ("episodes", 2.5), ("episodes", True), ("steps_per_episode", 0),
+    ("steps_per_episode", 3.5), ("sync_interval", 2.5), ("sync_interval", np.int64(50)),
+])
+def test_config_rejects_a_count_that_is_not_an_int(name, value):
+    # A float count failed later inside range() or numpy, or trained as if whole.
+    least = 0 if name == "episodes" else 1
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least} and an int, not {re.escape(repr(value))}$"):
+        TrainingConfig(**{name: value})
 
 
 @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf")])
