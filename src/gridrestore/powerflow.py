@@ -5,10 +5,12 @@ path-matrix (BIBC/BCBV) form of Teng, "A direct approach for distribution
 system load flow solutions" (IEEE Trans. Power Delivery, 2003). For each
 generator r, the full-closure tree rooted at r gives a path matrix A_r
 (buses x lines) with A_r[b, l] = 1 when line l lies on the path from r to bus
-b (A_r.T is read as a view). A batch of breaker-state rows is solved at once:
+b (A_r.T is read as a view), and P_r = LB @ A_r.T (breakers x buses) counts
+the lines on that path carrying each breaker (LB: breaker-by-line incidence).
+P_r comes from the tree walk alone, and A_r is built only for a sweep. A batch
+of breaker-state rows is solved at once:
 
-    open lines:       open = (1 - bits) @ LB.T    (LB: line-by-breaker incidence)
-    energized buses:  reach_r = (open @ A_r.T == 0)
+    energized buses:  reach_r = ((1 - bits) @ P_r == 0) & in_tree_r
     bus loads:        S = energized * S_bus       (S_bus: each bus's loads, summed)
     backward:         I = (conj(S / V) * reach_r) @ A_r
     forward:          V = 1 - (z * I) @ A_r.T
@@ -21,7 +23,14 @@ where an open breaker splits a multi-generator island. Generation is
 dispatched proportionally to p_max among an island's generators, each clipped
 to its box; the root generator acts as slack and absorbs the loss residual,
 so total generation equals served load plus losses exactly at the fixed
-point.
+point. A batch in which every energized island is fed by its root alone
+skips the dispatch arrays; its injections are 0.
+
+A page solve (``solve_batch``) does only the work its verdicts read. The
+sweep sums a row's losses and branch currents when the row retires (every
+iteration only while the dispatch reads the losses), and the check keeps
+each constraint's pass flag, seeking no margin or worst offender. Every
+array it keeps equals that of the full evaluation bit for bit.
 
 De-energized buses report 1.0 p.u. by convention, carry no load, and are
 excluded from flows and from the voltage constraint. Divergence never raises;
@@ -111,15 +120,41 @@ class BatchVerdicts(NamedTuple):
     iterations: np.ndarray
 
 
-class _Root(NamedTuple):
-    """Path matrices of the full-closure tree rooted at one generator."""
+class _Root:
+    """The full-closure tree rooted at one generator.
 
-    gen: int
-    bus: int
-    path: np.ndarray       # (buses, lines) complex A_r; A_r.T is read as a view
-    in_tree: np.ndarray    # (buses,) bool
-    up: np.ndarray         # (lines,) end of each tree line nearer the root
-    at_root: np.ndarray    # (lines,) 1.0 on tree lines leaving the root bus
+    Its topology comes from the tree walk alone, so ``_reach`` and
+    ``restored_power`` never build a (buses, lines) matrix; the path matrices
+    a sweep reads are built at the first sweep (``paths``).
+    """
+
+    def __init__(self, idx: _NetworkIndex, gen: int):
+        self.gen = gen
+        self.bus = int(idx.gen_bus[gen])
+        self.walk = idx.tree(self.bus)  # (bus, line into it, parent bus), breadth first
+        self.n_lines = len(idx.line_ids)
+        self.in_tree = np.zeros(idx.n_buses, dtype=bool)  # (buses,)
+        self.in_tree[self.bus] = True
+        counts, line_breakers = np.zeros((idx.n_buses, idx.n_breakers)), idx.breaker_line.T
+        for v, li, u in self.walk:
+            self.in_tree[v] = True
+            counts[v] = counts[u] + line_breakers[li]
+        self.on_path = counts.T  # (breakers, buses): the bus's path lines carrying each breaker
+
+    @cached_property
+    def paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(path, up, at_root): the (buses, lines) complex A_r, read as A_r.T by
+        the forward sweep; each tree line's end nearer the root; and 1.0 on the
+        tree lines leaving the root bus."""
+        path = np.zeros((len(self.in_tree), self.n_lines))
+        up = np.zeros(self.n_lines, dtype=np.intp)
+        at_root = np.zeros(self.n_lines)
+        for v, li, u in self.walk:
+            path[v] = path[u]
+            path[v, li] = 1.0
+            up[li] = u
+            at_root[li] = u == self.bus
+        return path.astype(complex), up, at_root
 
 
 class _Sweep(NamedTuple):
@@ -195,24 +230,9 @@ class _NetworkIndex:
 
     @cached_property
     def roots(self) -> tuple[_Root, ...]:
-        """One path-matrix set per generator, in root order (built at the first solve)."""
-        out = []
-        for g in sorted(range(len(self.gen_bus)), key=lambda g: (-self.gen_p_max[g], g)):
-            bus = int(self.gen_bus[g])
-            path = np.zeros((self.n_buses, len(self.line_ids)))
-            in_tree = np.zeros(self.n_buses, dtype=bool)
-            up = np.zeros(len(self.line_ids), dtype=np.intp)
-            at_root = np.zeros(len(self.line_ids))
-            in_tree[bus] = True
-            for v, li, u in self.tree(bus):
-                path[v] = path[u]
-                path[v, li] = 1.0
-                in_tree[v] = True
-                up[li] = u
-                at_root[li] = u == bus
-            path = path.astype(complex)
-            out.append(_Root(g, bus, path, in_tree, up, at_root))
-        return tuple(out)
+        """One tree per generator, in root order (built at the first solve)."""
+        order = sorted(range(len(self.gen_bus)), key=lambda g: (-self.gen_p_max[g], g))
+        return tuple(_Root(self, g) for g in order)
 
 
 _INDEXES: dict[int, _NetworkIndex] = {}
@@ -278,46 +298,52 @@ def _closed(idx: _NetworkIndex, states) -> np.ndarray:
 
 
 def _reach(idx: _NetworkIndex, closed: np.ndarray):
-    """Open-breaker count per line, and (root, energized-by-it mask) per active root."""
-    open_count = (~closed) @ idx.breaker_line
+    """Energized buses, and (root, energized-by-it mask) per active root."""
+    opened = (~closed).astype(float)
     energized = np.zeros((len(closed), idx.n_buses), dtype=bool)
     reach = []
     for root in idx.roots:
-        r = ((open_count @ root.path.T) == 0) & root.in_tree
+        r = ((opened @ root.on_path) == 0) & root.in_tree  # no open breaker on the path
         r[energized[:, root.bus]] = False  # an earlier, larger root feeds this island
         if r.any():
             energized |= r
             reach.append((root, r))
-    return open_count, energized, reach
+    return energized, reach
 
 
 def _served_power(idx: _NetworkIndex, served: np.ndarray):
     """(served kW, weighted kW) per row of a (rows, loads) served mask.
 
     Bit-identical to ``kw[mask].sum()`` row by row, in a few array calls.
-    Each row's served kW and weighted kW are packed, in load order, to the
-    left of zeroed rows, and the rows that serve exactly c loads are summed
-    together as contiguous (k, 2, c) blocks. A contiguous row sum adds
-    in the same order as a 1-D sum of the same c values; zero padding to a
-    common width would not, since numpy's pairwise summation groups values
-    by position once a row holds 8 or more.
+    A counting sort groups the rows by served-load count (row order kept
+    within a count), and each row's served kW and weighted kW are packed,
+    in load order, to the left of zeroed rows at its sorted place. The rows
+    that serve exactly c loads are then one contiguous (k, 2, c) block,
+    summed together. A contiguous row sum adds in the same order as a 1-D
+    sum of the same c values; zero padding to a common width would not,
+    since numpy's pairwise summation groups values by position once a row
+    holds 8 or more.
     """
     count = served.sum(axis=1)
+    size = np.bincount(count)  # rows per count
+    first = np.cumsum(size) - size  # sorted place of each count's first row
+    rank = np.cumsum(count[:, None] == np.arange(len(size)), axis=0)[np.arange(len(count)), count]
+    place = first[count] + rank - 1
     r, col = np.nonzero(served)  # row-major: each row's loads in load order
     slot = np.arange(len(r)) - (np.cumsum(count) - count)[r]
     packed = np.zeros((len(served), 2, served.shape[1]))
-    packed[r, :, slot] = idx.load_kw[col]
-    out = np.zeros((2, len(served)))
-    for c in (np.flatnonzero(np.bincount(count)[1:]) + 1).tolist():
-        rows = count == c
-        out[:, rows] = packed[rows, :, :c].sum(axis=2).T
-    return out[0], out[1]
+    packed[place[r], :, slot] = idx.load_kw[col]
+    out = np.empty((2, len(served)))
+    for c in np.flatnonzero(size).tolist():
+        lo, hi = first[c], first[c] + size[c]
+        out[:, lo:hi] = packed[lo:hi, :, :c].sum(axis=2).T
+    return out[:, place]
 
 
 def _restored(feeder: Feeder, states):
     """(served kW, weighted kW) per row of a (rows, breakers) state array."""
     idx = _network_index(feeder)
-    _, energized, _ = _reach(idx, _closed(idx, states))
+    energized, _ = _reach(idx, _closed(idx, states))
     return _served_power(idx, energized[:, idx.load_bus])
 
 
@@ -335,37 +361,45 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
     """Batched backward/forward sweep over (rows, breakers) closed masks."""
     s_base, z = idx.s_base, idx.line_z
     rows, n_gens = len(closed), len(idx.gen_bus)
-    open_count, energized, reach = _reach(idx, closed)
+    energized, reach = _reach(idx, closed)
     served = energized[:, idx.load_bus]
     s_load = energized * idx.bus_s  # p.u. per bus
     slack = np.zeros((rows, n_gens), dtype=bool)
-    gen_fq = np.zeros((rows, n_gens))
-    live = []  # per root: [reach, member generators, island demand kW, island p_max]
     for root, r in reach:
-        member = r[:, idx.gen_bus]
         slack[:, root.gen] = r[:, root.bus]
-        demand = (s_load * r).sum(axis=1)
-        q_cap = member @ idx.gen_q_max
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f_q = np.where(q_cap > 0, np.minimum(1.0, demand.imag * s_base / q_cap), 0.0)
-        gen_fq = np.where(member, f_q[:, None], gen_fq)
-        live.append([r, member, demand.real * s_base, member @ idx.gen_p_max])
-    dispatch = not slack.all()  # some generator follows a proportional share
+    # Some generator follows a proportional share. Else every injection but
+    # the roots' is 0, and the sweep skips the dispatch arrays.
+    dispatch = not slack.all()
+    gen_fq = np.zeros((rows, n_gens))
+    # Per root: reach, and when dispatching its member generators, island
+    # demand kW and island p_max.
+    live = [[r] for _, r in reach]
+    if dispatch:
+        for isl in live:
+            member = isl[0][:, idx.gen_bus]
+            demand = (s_load * isl[0]).sum(axis=1)
+            q_cap = member @ idx.gen_q_max
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f_q = np.where(q_cap > 0, np.minimum(1.0, demand.imag * s_base / q_cap), 0.0)
+            gen_fq = np.where(member, f_q[:, None], gen_fq)
+            isl += [member, demand.real * s_base, member @ idx.gen_p_max]
+
+    def branch_loss(i_k):  # p.u. per row
+        return (z.real * np.abs(i_k) ** 2).sum(axis=1)
 
     voltage = np.ones((rows, idx.n_buses), dtype=complex)
     current = np.zeros((rows, len(z)), dtype=complex)
     gen_p, gen_q = np.zeros((rows, n_gens)), np.zeros((rows, n_gens))
     s_inj = np.zeros_like(voltage)
-    losses = np.zeros((len(live), rows))  # p.u., fed back into dispatch
+    losses = np.zeros((len(live), rows))  # p.u.
     iterations = np.zeros(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
     # Rows still iterating; each retires into the outputs at its own iteration.
-    ids, v, sl, fq, p, q, inj, loss = (
-        np.arange(rows), voltage, s_load, gen_fq, gen_p, gen_q, s_inj, losses.copy())
+    # The dispatch reads the loss estimate of every row; else only a retiring
+    # row's losses and summed branch currents are computed.
+    ids, v, sl, fq, loss = np.arange(rows), voltage, s_load, gen_fq, losses.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, MAX_ITERATIONS + 1):
-            if not ids.size:
-                break
             if dispatch:  # proportional shares, refreshed with the loss estimate
                 fp = np.zeros_like(fq)
                 for k, (_, member, demand_kw, p_cap) in enumerate(live):
@@ -376,34 +410,47 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
                 box = np.minimum(np.maximum(idx.gen_q_max * fq, idx.gen_q_min), idx.gen_q_max)
                 q = np.where(slack, 0.0, box)
                 inj = ((p + 1j * q) / s_base) @ idx.gen_at_bus
-            i_bus = np.conj((sl - inj) / v)
-            v_new, i_line = v, np.zeros((len(ids), len(z)), dtype=complex)
+                i_bus = np.conj((sl - inj) / v)
+            else:
+                i_bus = np.conj(sl / v)
+            v_new, i_ks = v, []
             for k, ((root, _), (r, *_)) in enumerate(zip(reach, live)):
-                i_k = (i_bus * r) @ root.path  # backward: branch currents
-                v_new = np.where(r, 1.0 - (z * i_k) @ root.path.T, v_new)  # forward
-                loss[k] = (z.real * np.abs(i_k) ** 2).sum(axis=1)
-                i_line += i_k
+                path = root.paths[0]
+                i_k = (i_bus * r) @ path  # backward: branch currents
+                v_new = np.where(r, 1.0 - (z * i_k) @ path.T, v_new)  # forward
+                i_ks.append(i_k)
+                if dispatch:
+                    loss[k] = branch_loss(i_k)
             finite = np.isfinite(v_new).all(axis=1)
             done = finite & (np.abs(v_new - v).max(axis=1, initial=0.0) < VOLTAGE_TOLERANCE)
-            v = v_new
             stop = done | ~finite | (it == MAX_ITERATIONS)
             if stop.any():
                 out = ids[stop]
-                voltage[out], current[out], s_inj[out] = v[stop], i_line[stop], inj[stop]
-                gen_p[out], gen_q[out], losses[:, out] = p[stop], q[stop], loss[:, stop]
-                iterations[out], converged[out] = it, done[stop]
+                voltage[out], iterations[out], converged[out] = v_new[stop], it, done[stop]
+                i_line = np.zeros((len(out), len(z)), dtype=complex)
+                for k, i_k in enumerate(i_ks):
+                    i_line += i_k[stop]
+                    losses[k, out] = loss[k, stop] if dispatch else branch_loss(i_k[stop])
+                current[out] = i_line
+                if dispatch:
+                    s_inj[out], gen_p[out], gen_q[out] = inj[stop], p[stop], q[stop]
                 keep = ~stop
-                ids, v, sl, fq, p, q, inj = (x[keep] for x in (ids, v, sl, fq, p, q, inj))
-                slack, loss = slack[keep], loss[:, keep]
+                ids, v_new, sl = ids[keep], v_new[keep], sl[keep]
                 live = [[x[keep] for x in isl] for isl in live]
+                if dispatch:
+                    fq, slack, loss = fq[keep], slack[keep], loss[:, keep]
+            v = v_new
+            if not ids.size:
+                break
 
         # Root (slack) injections and sending-end flows from the final sweep.
-        line_on = (open_count == 0) & energized[:, idx.line_from]
-        flow = np.zeros_like(current)
+        line_on = (((~closed) @ idx.breaker_line) == 0) & energized[:, idx.line_from]
+        flow, conj_i = np.zeros_like(current), np.conj(current)
         for root, r in reach:
+            _, up, at_root = root.paths
             owned = line_on & r[:, idx.line_from]
-            flow = np.where(owned, voltage[:, root.up] * np.conj(current) * s_base, flow)
-            s_root = np.conj(current) @ root.at_root + s_load[:, root.bus] - s_inj[:, root.bus]
+            flow = np.where(owned, voltage[:, up] * conj_i * s_base, flow)
+            s_root = conj_i @ at_root + s_load[:, root.bus] - s_inj[:, root.bus]
             rooted = r[:, root.bus]
             gen_p[rooted, root.gen] = s_root.real[rooted] * s_base
             gen_q[rooted, root.gen] = s_root.imag[rooted] * s_base
@@ -412,20 +459,18 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
 
 
 def _worst(key: np.ndarray, floor: float, shown: np.ndarray, default: float):
-    """Per row, the first column whose key is largest and above ``floor``
-    (-1 if none), and ``shown`` at that column (``default`` if none)."""
-    if not key.shape[1]:
-        return np.full(len(key), -1), np.full(len(key), default)
-    rows, col = np.arange(len(key)), key.argmax(axis=1)
-    hit = key[rows, col] > floor
-    return np.where(hit, col, -1), np.where(hit, shown[rows, col], default)
+    """The first position whose key is largest and above ``floor`` (-1 if
+    none), and ``shown`` there (``default`` if none), for one row."""
+    col = int(key.argmax()) if key.size else -1
+    return (col, shown[col].item()) if col >= 0 and key[col] > floor else (-1, default)
 
 
 def _checks(idx: _NetworkIndex, sw: _Sweep, served_kw: np.ndarray):
     """Every operating constraint of every row, evaluated once in array form.
 
-    Returns all_ok and the ``ConstraintReport`` fields per row, with each
-    worst offender as a position (-1 when none).
+    Returns all_ok, the pass flag of each constraint, and the demand (kW),
+    voltage deviations (p.u.) and line |S| (kVA) that ``check_constraints``
+    reads its margin and worst offenders from.
     """
     demand = served_kw + sw.losses_kw
     balance_ok = demand <= idx.capacity_kw + _SLACK_KW
@@ -439,18 +484,15 @@ def _checks(idx: _NetworkIndex, sw: _Sweep, served_kw: np.ndarray):
                            & (sw.gen_q <= idx.gen_q_max + _SLACK_KW))).all(axis=1)
     s = np.abs(sw.flow)
     line_ok = ~(sw.line_on & (s > idx.line_rating_kva + _SLACK_KW)).any(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loading = np.where(sw.line_on, s / idx.line_rating_kva, -np.inf)
     all_ok = sw.converged & balance_ok & voltage_ok & gen_p_ok & gen_q_ok & line_ok
-    return all_ok, (balance_ok, idx.capacity_kw - demand, voltage_ok, *_worst(dev, -1.0, v, 1.0),
-                    gen_p_ok, gen_q_ok, line_ok, *_worst(loading, 0.0, loading, 0.0))
+    return all_ok, (balance_ok, voltage_ok, gen_p_ok, gen_q_ok, line_ok), (demand, dev, s)
 
 
 def solve_batch(feeder: Feeder, states) -> BatchVerdicts:
     """Solve and check every row of a (rows, breakers) array of states at once.
 
     The same sweep and constraint evaluation as ``solve`` followed by
-    ``check_constraints``, vectorized over rows.
+    ``check_constraints``, vectorized over rows; no worst offender is sought.
     """
     idx = _network_index(feeder)
     sw = _sweep(idx, _closed(idx, states))
@@ -524,9 +566,18 @@ def check_constraints(feeder: Feeder, solution: PowerFlowSolution) -> Constraint
             raise ValueError(f"the solution's {kind} ids are not those of feeder {feeder.name!r}")
     if not solution.converged:
         return _DIVERGED
-    _, fields = _checks(idx, solution._row, np.array([solution.served_load_kw]))
-    balance, margin, v_ok, bus, v_worst, p_ok, q_ok, s_ok, line, loading = (f[0].item() for f in fields)
+    return _report(idx, solution._row, solution.served_load_kw)
+
+
+def _report(idx: _NetworkIndex, sw: _Sweep, served_kw: float) -> ConstraintReport:
+    """The report of a converged one-row sweep, with its margin and worst offenders."""
+    _, oks, (demand, dev, s) = _checks(idx, sw, np.array([served_kw]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loading = np.where(sw.line_on[0], s[0] / idx.line_rating_kva, -np.inf)
+    bus, v_worst = _worst(dev[0], -1.0, sw.voltage[0], 1.0)
+    line, worst_loading = _worst(loading, 0.0, loading, 0.0)
+    balance, v_ok, p_ok, q_ok, s_ok = (ok.item() for ok in oks)
     return ConstraintReport(
-        balance, margin, v_ok, idx.bus_ids[bus] if bus >= 0 else "", v_worst,
-        p_ok, q_ok, s_ok, idx.line_ids[line] if line >= 0 else "", loading, True,
+        balance, (idx.capacity_kw - demand).item(), v_ok, idx.bus_ids[bus] if bus >= 0 else "",
+        v_worst, p_ok, q_ok, s_ok, idx.line_ids[line] if line >= 0 else "", worst_loading, True,
     )

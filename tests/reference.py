@@ -221,17 +221,18 @@ def crowded(rng, feeder: Feeder) -> Feeder:
                                generators=feeder.generators + (generator,))
 
 
-def study_feeder_8500() -> Feeder:
+def study_feeder_8500(n_trees: int = 10) -> Feeder:
     """A seeded feeder of the shape of the paper's 8500-node study.
 
     Ten ``random_radial_feeder`` trees of 700-850 buses and 7-8 breakers,
     drawn from ``default_rng(8500)`` by rejection, each tree's ids prefixed
     ``t<k>``, loads and generators scaled by 1/200 so that the sweeps
-    converge over trees this deep, and one agent per tree.
+    converge over trees this deep, and one agent per tree. ``n_trees`` keeps
+    only the first trees drawn.
     """
     rng = np.random.default_rng(8500)
     trees = []
-    while len(trees) < 10:
+    while len(trees) < n_trees:
         tree = random_radial_feeder(rng, max_buses=850, max_breakers=8)
         if len(tree.buses) >= 700 and len(tree.breakers) >= 7:
             trees.append(tree)
@@ -424,7 +425,7 @@ def recursive_best(feeder: Feeder):
 
 def dict_check_constraints(feeder: Feeder, solution: PowerFlowSolution) -> ConstraintReport:
     """The constraint report rebuilt from a solution's dicts, by bus, line and
-    generator id, and checked by the solver's own ``_checks``: the evaluation
+    generator id, and checked by the solver's own ``_report``: the evaluation
     ``check_constraints`` made before it read the row ``solve`` keeps."""
     idx = powerflow._network_index(feeder)
     if not solution.converged:
@@ -439,12 +440,7 @@ def dict_check_constraints(feeder: Feeder, solution: PowerFlowSolution) -> Const
         np.array([[f is not None for f in flows]], dtype=bool),
         gens[..., 0], gens[..., 1], np.array([solution.total_losses_kw]), np.array([True]), None,
     )
-    _, fields = powerflow._checks(idx, sw, np.array([solution.served_load_kw]))
-    balance, margin, v_ok, bus, v_worst, p_ok, q_ok, s_ok, line, loading = (f[0].item() for f in fields)
-    return ConstraintReport(
-        balance, margin, v_ok, idx.bus_ids[bus] if bus >= 0 else "", v_worst,
-        p_ok, q_ok, s_ok, idx.line_ids[line] if line >= 0 else "", loading, True,
-    )
+    return powerflow._report(idx, sw, solution.served_load_kw)
 
 
 # -- per-agent learning step -------------------------------------------------------

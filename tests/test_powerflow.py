@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from gridrestore import (
     solve,
 )
 from gridrestore import powerflow
-from gridrestore.powerflow import solve_batch
+from gridrestore.powerflow import page_states, solve_batch
 from reference import (
     dense_reference_solve,
     dict_check_constraints,
@@ -26,6 +28,7 @@ from reference import (
     random_multi_generator_feeder,
     random_radial_feeder,
     served_loads,
+    study_feeder_8500,
 )
 
 
@@ -380,6 +383,56 @@ def test_batched_solve_matches_single_solves(ieee13):
     for _ in range(10):
         feeder = random_multi_generator_feeder(rng)
         _batch_matches_single(feeder, all_states(feeder.n_breakers))
+    # Loads 150 times their rating: in one batch some rows diverge, and the
+    # others converge at their own iterations and retire while it runs on.
+    rng = np.random.default_rng(43)
+    converged = []
+    for make in (random_radial_feeder, random_multi_generator_feeder) * 3:
+        feeder = make(rng)
+        feeder = dataclasses.replace(feeder, loads=tuple(
+            dataclasses.replace(ld, p_rated=150 * ld.p_rated, q_rated=150 * ld.q_rated)
+            for ld in feeder.loads))
+        rows = all_states(feeder.n_breakers)
+        _batch_matches_single(feeder, rows)
+        converged += [solve(feeder, states).converged for states in rows]
+    _batch_matches_single(two_bus(resistance=1.0, p_kw=500.0, p_max=5000.0), [[1], [0], [1]])
+    assert 0.2 < np.mean(converged) < 0.8
+    # The ieee13 island of g2 and g3, with g3 moved behind cb8. Where cb8 is
+    # open each generator is its own island's root, so a one-row solve skips
+    # the dispatch, which the page's batch runs for every row.
+    _, island = islands(ieee13)[1]
+    g2, g3 = island.generators
+    assert island.breakers[3] == Breaker("cb8", "lat8", 0) and g3.bus_id == "mg2b"
+    feeder = dataclasses.replace(island, generators=(g2, dataclasses.replace(g3, bus_id="ld8")))
+    rows = page_states(feeder, 0)
+    _batch_matches_single(feeder, rows)
+    idx = powerflow._network_index(feeder)
+    roots = [len(powerflow._reach(idx, states[None] != 0)[1]) for states in rows]
+    assert roots == [2 - ((code >> 3) & 1) for code in range(32)]
+
+
+def test_page_verdicts_are_unchanged(fresh_feeder):
+    # One sha256 over dtype, shape and bytes of every solve_batch output:
+    # every verdict page of every ieee13 and ieee123 island, then all 512
+    # ieee13 states in one batch. Any change to a page's verdict, served kW,
+    # weighted kW or iteration count shows here.
+    digest = hashlib.sha256()
+
+    def add(verdicts):
+        for a in verdicts:
+            digest.update(f"{a.dtype.str} {a.shape}".encode())
+            digest.update(a.tobytes())
+
+    feeders = {name: fresh_feeder(name) for name in ("ieee13", "ieee123")}
+    for feeder in feeders.values():
+        for _, sub in islands(feeder):
+            page = 0
+            while len(states := page_states(sub, page)):
+                add(solve_batch(sub, states))
+                page += 1
+    add(solve_batch(feeders["ieee13"], all_states(9)))
+    assert digest.hexdigest() == (
+        "238f37f0b03f2535658c0d80ff26d80b0811820e7d3e363f64e87241affdd7e4")
 
 
 def test_batched_solve_does_not_depend_on_batch_size(ieee123):
@@ -424,16 +477,18 @@ def _assert_bits_equal(got, want):
         assert g.tobytes() == r.tobytes()
 
 
-@pytest.mark.parametrize("n_loads", [0, 1, 7, 8, 9, 16, 23, 40])
+@pytest.mark.parametrize("n_loads", [0, 1, 7, 8, 9, 16, 23, 40, 129, 300])
 def test_served_power_is_bit_identical_to_per_row_sums(n_loads):
     # Fractional kW, so summation order shows in the last bit. Every count
-    # from 0 to n_loads occurs, which runs both of numpy's summation paths
-    # (under 8 values and 8 or more).
+    # from 0 to n_loads occurs, which runs each of numpy's summation paths:
+    # under 8 values, 8 to 128, and the pairwise recursion past its 128-value
+    # block (the study feeder's islands serve about 537 loads). Wide feeders
+    # get a few rows per count, to keep the arrays small.
     rng = np.random.default_rng(900 + n_loads)
     feeder = _loads_feeder(rng.uniform(0.1, 500.0, n_loads),
                            rng.uniform(0.05, 3.0, n_loads))
     idx = powerflow._network_index(feeder)
-    rows = 40 * (n_loads + 1)
+    rows = (40 if n_loads <= 40 else 3) * (n_loads + 1)
     keep = np.arange(rows) % (n_loads + 1)  # each row serves a seeded subset of this size
     served = np.argsort(rng.random((rows, n_loads)), axis=1) < keep[:, None]
     served[:2] = [[True] * n_loads, [False] * n_loads]  # full and empty rows
@@ -441,6 +496,24 @@ def test_served_power_is_bit_identical_to_per_row_sums(n_loads):
     _assert_bits_equal(powerflow._served_power(idx, served), _per_row_sums(feeder, served))
     empty = served[:0]
     _assert_bits_equal(powerflow._served_power(idx, empty), _per_row_sums(feeder, empty))
+
+
+def test_restored_power_needs_no_path_matrix():
+    # The first two trees of the study feeder: 1,537 buses. One (buses,
+    # lines) complex path matrix per generator took 90.1 MiB here; the
+    # topology alone takes a (breakers, buses) count matrix per generator.
+    feeder = study_feeder_8500(n_trees=2)
+    assert (len(feeder.buses), feeder.n_breakers) == (1537, 15)
+    rows = [[1] * 15, [k % 2 for k in range(15)], [0] * 15]
+    tracemalloc.start()
+    try:
+        got = powerflow._restored(feeder, rows)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 10, f"tracemalloc peak {peak:.1f} MiB"
+    served = np.array([served_loads(feeder, s) for s in rows])
+    _assert_bits_equal(got, _per_row_sums(feeder, served))
 
 
 def test_restored_power_sums_match_reference_on_random_feeders():
