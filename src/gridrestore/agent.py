@@ -170,12 +170,13 @@ class StackedLearner:
     target views in ``pairs`` are read-only, so none goes stale.
 
     Exactness rests on OpenBLAS 0.3.31 (SkylakeX kernels). A row of an n-row
-    product does not depend on the other rows, so a table entry equals the
-    value a stacked pass gives a row holding that code. A zero-padded product
-    may round apart from the unpadded per-agent step of ``tests/reference.py``
-    at any batch size (one row also takes a matrix-vector kernel); the tests
-    pin bit-equality on the study widths (10, 5, 3, 3, 5) at the default 32
-    rows, and the golden digests pin training on both study feeders.
+    product does not depend on the other rows, so a table entry equals the value
+    a stacked pass gives a row holding that code, given a block of exactly the
+    batch's n rows (1,024 or 8 rows round apart). A zero-padded product may
+    round apart from the unpadded per-agent step of ``tests/reference.py`` at
+    any batch size (one row also takes a matrix-vector kernel); the tests pin
+    bit-equality on the study widths (10, 5, 3, 3, 5) at the default 32 rows,
+    and the golden digests pin training on both study feeders.
     """
 
     def __init__(self, pairs: list[AgentPair], capacity: int):

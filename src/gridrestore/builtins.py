@@ -36,11 +36,6 @@ BUILTIN_NAMES = ("ieee13", "ieee123")
 
 _PF_TAN = 0.328684  # tan(acos(0.95)), rounded
 
-# (island, loads kW, generator kW) for the 13-node system; the optimum subset
-# is {170, 400} + {1150, 843} = 2563 kW = 98.6% of 2600 kW.
-_IEEE13_MG1_LOADS = (230.0, 170.0, 400.0, 200.0)
-_IEEE13_MG2_LOADS = (170.0, 128.0, 1150.0, 170.0, 843.0)
-
 # Synthesized 123-node islands: (backbone bus count, load list kW, capacity kW).
 # Load granularities 35/40/45/50/10 kW make the feasible optimum per island
 # [770, 480, 315, 300, 440] = 2305 kW = 96.04% of the 2400 kW capacity.
@@ -66,7 +61,8 @@ def _ieee13() -> Feeder:
     breakers: list[Breaker] = []
     loads: list[LoadPoint] = []
 
-    # (load kW, lateral tail bus, lateral head bus, lateral r, x, rating)
+    # (load kW, lateral tail bus, lateral head bus, lateral r, x, rating); the optimum
+    # subset is {170, 400} + {1150, 843} = 2563 kW = 98.6% of 2600 kW.
     laterals = [
         (230.0, "ld1", "mg1", 0.003, 0.006, 400.0),
         (170.0, "ld2", "mg1", 0.003, 0.006, 300.0),

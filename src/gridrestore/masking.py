@@ -8,7 +8,10 @@ pins its current best action value to -inf and reselects. Demotions never
 persist across environment steps: each call starts from a fresh mask state.
 
 Both procedures only ever return joint actions that pass the validity oracle,
-which is what keeps masked training at zero constraint violations.
+which is what keeps masked training at zero constraint violations. Masked
+training passes the environment's ``validate_joint``; unmasked training, and
+greedy execution with no generator, pass ``training.accept_all``, under which
+the first sample is the plain uniform draw and the first proposal the argmax.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ def exploit_joint(
     validate,
     q_vectors,
     observations,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> tuple[int, ...]:
     """Greedy joint action with iterative Q-demotion until valid.
 
+    ``rng``          read only after the oracle refuses a joint, so may be None;
     ``q_vectors``    one action-value vector per agent (not modified);
     ``observations`` per agent, its breaker bits (a row may be zero-padded past
     the agent's breakers); the exhaustion fallback reads the open breakers

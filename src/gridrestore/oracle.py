@@ -146,7 +146,8 @@ def save_result(path, feeder: Feeder, result: OracleResult) -> None:
 
 
 def load_result(path, feeder: Feeder | None = None) -> OracleResult | None:
-    """Load a cached oracle result; None if missing, malformed or for another feeder."""
+    """Load a cached oracle result; None if missing, malformed or for another feeder.
+    Counts must be JSON integers, and states 0s and 1s, one per breaker of ``feeder``."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -156,14 +157,14 @@ def load_result(path, feeder: Feeder | None = None) -> OracleResult | None:
             feeder is not None and doc.get("feeder_hash") != feeder_hash(feeder)):
         return None
     try:
-        return OracleResult(
-            tuple(int(s) for s in doc["best_states"]),
-            float(doc["best_weighted_kw"]),
-            float(doc["best_served_kw"]),
-            int(doc["feasible_count"]),
-            int(doc["evaluated_count"]),
-            str(doc.get("method", "cached")),
-            int(doc.get("solved_count", doc["evaluated_count"])),
-        )
+        states, counts = doc["best_states"], [doc["feasible_count"], doc["evaluated_count"]]
+        counts.append(doc.get("solved_count", counts[1]))
+        if (type(states) is not list or any(type(v) is not int for v in states + counts)
+                or not set(states) <= {0, 1}
+                or feeder is not None and len(states) != feeder.n_breakers):
+            return None
+        return OracleResult(tuple(states), float(doc["best_weighted_kw"]),
+                            float(doc["best_served_kw"]), *counts[:2],
+                            str(doc.get("method", "cached")), counts[2])
     except (KeyError, TypeError, ValueError):  # a field of the wrong type
         return None

@@ -1,15 +1,15 @@
 """End-to-end orchestration: centralized training, decentralized greedy
 execution, and side-by-side variant comparison.
 
-A training run is one sequential loop per the distributed deep-Q procedure:
-per episode, reset to all-open; per step, one epsilon draw switches the whole
-joint selection between masked random exploration and masked greedy
-exploitation; the environment applies the joint action (one action index per
-agent) and returns every agent's int8 observation row, which go into one replay
-ring as they are; every agent takes one replay-batch gradient step, all in one
-``StackedLearner.train_step``; target networks are refreshed every
-``sync_interval`` environment steps; epsilon decays per episode. Identical
-(feeder, config) pairs reproduce bit-for-bit.
+A training run is one sequential loop per the distributed deep-Q procedure: per
+episode, reset to all-open; per step, one epsilon draw switches the whole joint
+selection between random exploration and greedy exploitation under one oracle
+(the mask, or ``accept_all``); the environment applies the joint action (one
+action index per agent) and returns every agent's int8 observation row, which
+go into one replay ring as they are; every agent takes one replay-batch
+gradient step, all in one ``StackedLearner.train_step``; target networks are
+refreshed every ``sync_interval`` environment steps; epsilon decays per
+episode. Identical (feeder, config) pairs reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -149,6 +149,11 @@ def agent_slots(feeder: Feeder, agent_mode: str) -> list[tuple[int, ...]]:
     return groups
 
 
+def accept_all(joint) -> bool:
+    """The validity oracle of unmasked training and greedy execution."""
+    return True
+
+
 def train(feeder: Feeder, cfg: TrainingConfig):
     """Run the full training loop; returns (models, per-episode logs)."""
     slots = agent_slots(feeder, cfg.agent_mode)
@@ -166,6 +171,7 @@ def train(feeder: Feeder, cfg: TrainingConfig):
         for i, g in enumerate(slots)
     ], cfg.hyper.capacity)
     counts = env.action_space_sizes()
+    validate = env.validate_joint if cfg.masking else accept_all
     mains = [(pair.main, len(g)) for pair, g in zip(learner.pairs, slots)]
     logs: list[EpisodeLog] = []
     sync_clock = 0
@@ -178,16 +184,10 @@ def train(feeder: Feeder, cfg: TrainingConfig):
         served_end = 0.0
         for _ in range(cfg.steps_per_episode):
             if rng.random() <= eps:
-                if cfg.masking:
-                    joint = explore_joint(env.validate_joint, counts, rng)
-                else:
-                    joint = tuple(int(rng.integers(n)) for n in counts)
+                joint = explore_joint(validate, counts, rng)
             else:
                 q_vectors = [net.forward(rows[i, :n]) for i, (net, n) in enumerate(mains)]
-                if cfg.masking:
-                    joint = exploit_joint(env.validate_joint, q_vectors, rows, rng)
-                else:
-                    joint = tuple(int(np.argmax(q)) for q in q_vectors)
+                joint = exploit_joint(validate, q_vectors, rows, rng)
             result = env.step(joint)
             total_reward += result.reward
             if not result.constraints_ok:
@@ -226,10 +226,10 @@ def execute(
 ) -> RestorationTrace:
     """Greedy decentralized rollout from the all-open state.
 
-    No validity pre-checks are made: each agent acts from its local
-    observation alone, and any constraint violation along the way is recorded
-    in the trace. The reward column is the normalized restored power of the
-    post-step state.
+    No validity pre-checks are made: each agent takes the argmax of its local
+    observation's Q-values, through ``exploit_joint`` under ``accept_all``,
+    and any constraint violation along the way is recorded in the trace. The
+    reward column is the normalized restored power of the post-step state.
     """
     nets = [m.main if isinstance(m, AgentPair) else m for m in models]
     if slots is None:
@@ -242,10 +242,8 @@ def execute(
     entries: list[TraceEntry] = []
     step_states: list[tuple[int, ...]] = []
     for step in range(1, max_steps + 1):
-        joint = [
-            int(np.argmax(net.forward(rows[i, : len(group)])))
-            for i, (net, group) in enumerate(zip(nets, slots))
-        ]
+        q_vectors = [net.forward(rows[i, :len(g)]) for i, (net, g) in enumerate(zip(nets, slots))]
+        joint = exploit_joint(accept_all, q_vectors, rows, None)
         result = env.step(joint)
         reward = (
             result.weighted_kw / denominator if denominator > 0 else 0.0

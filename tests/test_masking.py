@@ -8,6 +8,7 @@ from gridrestore import (
     explore_joint,
 )
 from gridrestore.masking import EXPLORE_RESAMPLE_CAP
+from gridrestore.training import accept_all
 
 
 class CountingValidator:
@@ -117,6 +118,31 @@ def test_exploit_termination_within_action_budget():
     joint = exploit_joint(validator, q, np.zeros((2, 2)), rng)
     assert len(validator.queries) <= sum(len(v) for v in q) + len(q) + 1
     assert joint is not None
+
+
+def test_accept_all_selection_is_the_unmasked_draw_on_the_same_stream():
+    # Unmasked training selects through explore_joint and exploit_joint under
+    # accept_all; they must draw what the plain unmasked choice drew, and leave
+    # the generator where it left it, or every unmasked run would change.
+    counts = (8, 10, 6, 6, 10)
+    rows = np.zeros((len(counts), 5), dtype=np.int8)
+    q_source = np.random.default_rng(99)
+    for seed in range(500):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            unmasked = tuple(int(twin.integers(n)) for n in counts)
+            assert explore_joint(accept_all, counts, rng) == unmasked
+            q = [q_source.integers(0, 4, n).astype(float) for n in counts]  # ties included
+            assert exploit_joint(accept_all, q, rows, rng) == tuple(int(np.argmax(v)) for v in q)
+            assert rng.random() == twin.random()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_exploit_under_accept_all_needs_no_generator():
+    # Greedy execution passes no generator: the per-agent argmax draws nothing.
+    q = [np.array([1.0, 3.0, 3.0, 0.0]), np.array([-2.0, -1.0]), np.array([0.5, 0.5])]
+    joint = exploit_joint(accept_all, q, np.zeros((3, 2)), None)
+    assert joint == (1, 1, 0) and all(type(a) is int for a in joint)
 
 
 def test_masked_selection_only_returns_valid_joints(ieee13):

@@ -427,15 +427,29 @@ def test_result_cache_round_trip(tmp_path, ieee13):
     assert load_result(path, ieee13).solved_count == 512
 
 
+def _two_states(doc):
+    return {**doc, "best_states": [0, 1]}
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: [1, 2],
     lambda doc: {**doc, "best_states": 5},
     lambda doc: {**doc, "feasible_count": None},
     lambda doc: {**doc, "best_weighted_kw": [1.0]},
-], ids=["top-level-list", "int-states", "null-count", "list-kw"])
+    lambda doc: {**doc, "best_states": [0.7] * 9},
+    lambda doc: {**doc, "best_states": [True] + [0] * 8},
+    lambda doc: {**doc, "best_states": [2] + [0] * 8},
+    lambda doc: {**doc, "feasible_count": 12.9},
+    lambda doc: {**doc, "solved_count": 48.5},
+    lambda doc: {**doc, "evaluated_count": True},
+    _two_states,
+], ids=["top-level-list", "int-states", "null-count", "list-kw", "fractional-states",
+        "bool-state", "state-of-2", "fractional-feasible-count", "fractional-solved-count",
+        "bool-evaluated-count", "two-states-for-nine-breakers"])
 def test_result_cache_that_is_malformed_is_a_miss(tmp_path, ieee13, edit):
     path = tmp_path / "oracle.json"
     save_result(path, ieee13, brute_force(ieee13))
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     assert load_result(path, ieee13) is None
-    assert load_result(path) is None
+    # Without a feeder there is no breaker count to hold the states to.
+    assert (load_result(path) is None) != (edit is _two_states)
