@@ -16,7 +16,8 @@ of breaker-state rows is solved at once:
     forward:          V = 1 - (z * I) @ A_r.T
 
 iterated to a fixed point (max per-iteration voltage change < 1e-6 p.u., at
-most 100 iterations), each row stopping at its own iteration. Roots are the
+most 100 iterations). A batch iterates until its slowest row stops, and each
+row is read at its own stop, from that iteration's arrays. Roots are the
 generators, largest p_max first (then lowest index), that no earlier root
 reaches, so every energized island is rooted at its largest generator, also
 where an open breaker splits a multi-generator island. Generation is
@@ -27,10 +28,10 @@ point. A batch in which every energized island is fed by its root alone
 skips the dispatch arrays; its injections are 0.
 
 A page solve (``solve_batch``) does only the work its verdicts read. The
-sweep sums a row's losses and branch currents when the row retires (every
-iteration only while the dispatch reads the losses), and the check keeps
-each constraint's pass flag, seeking no margin or worst offender. Every
-array it keeps equals that of the full evaluation bit for bit.
+sweep sums a row's losses and branch currents at its stop (every iteration
+only while the dispatch reads the losses), and the check keeps each
+constraint's pass flag, seeking no margin or worst offender. Every array
+it keeps equals that of the full evaluation bit for bit.
 
 De-energized buses report 1.0 p.u. by convention, carry no load, and are
 excluded from flows and from the voltage constraint. Divergence never raises;
@@ -371,18 +372,16 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
     # the roots' is 0, and the sweep skips the dispatch arrays.
     dispatch = not slack.all()
     gen_fq = np.zeros((rows, n_gens))
-    # Per root: reach, and when dispatching its member generators, island
-    # demand kW and island p_max.
-    live = [[r] for _, r in reach]
+    shares = []  # per root when dispatching: member generators, island demand kW and p_max
     if dispatch:
-        for isl in live:
-            member = isl[0][:, idx.gen_bus]
-            demand = (s_load * isl[0]).sum(axis=1)
+        for _, r in reach:
+            member = r[:, idx.gen_bus]
+            demand = (s_load * r).sum(axis=1)
             q_cap = member @ idx.gen_q_max
             with np.errstate(divide="ignore", invalid="ignore"):
                 f_q = np.where(q_cap > 0, np.minimum(1.0, demand.imag * s_base / q_cap), 0.0)
             gen_fq = np.where(member, f_q[:, None], gen_fq)
-            isl += [member, demand.real * s_base, member @ idx.gen_p_max]
+            shares.append((member, demand.real * s_base, member @ idx.gen_p_max))
 
     def branch_loss(i_k):  # p.u. per row
         return (z.real * np.abs(i_k) ** 2).sum(axis=1)
@@ -391,30 +390,30 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
     current = np.zeros((rows, len(z)), dtype=complex)
     gen_p, gen_q = np.zeros((rows, n_gens)), np.zeros((rows, n_gens))
     s_inj = np.zeros_like(voltage)
-    losses = np.zeros((len(live), rows))  # p.u.
+    losses = np.zeros((len(reach), rows))  # p.u.
     iterations = np.zeros(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
-    # Rows still iterating; each retires into the outputs at its own iteration.
-    # The dispatch reads the loss estimate of every row; else only a retiring
-    # row's losses and summed branch currents are computed.
-    ids, v, sl, fq, loss = np.arange(rows), voltage, s_load, gen_fq, losses.copy()
+    # The page runs until its slowest row stops; each row's outputs, summed
+    # branch currents and (unless the dispatch reads them every iteration)
+    # losses are taken once, from the arrays of the iteration where it stops.
+    running, v, loss = np.ones(rows, dtype=bool), voltage, losses.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, MAX_ITERATIONS + 1):
             if dispatch:  # proportional shares, refreshed with the loss estimate
-                fp = np.zeros_like(fq)
-                for k, (_, member, demand_kw, p_cap) in enumerate(live):
+                fp = np.zeros_like(gen_fq)
+                for k, (member, demand_kw, p_cap) in enumerate(shares):
                     f_p = np.minimum(1.0, (demand_kw + loss[k] * s_base) / p_cap)
                     fp = np.where(member, np.where(p_cap > 0, f_p, 0.0)[:, None], fp)
                 box = np.minimum(np.maximum(idx.gen_p_max * fp, idx.gen_p_min), idx.gen_p_max)
                 p = np.where(slack, 0.0, box)
-                box = np.minimum(np.maximum(idx.gen_q_max * fq, idx.gen_q_min), idx.gen_q_max)
+                box = np.minimum(np.maximum(idx.gen_q_max * gen_fq, idx.gen_q_min), idx.gen_q_max)
                 q = np.where(slack, 0.0, box)
                 inj = ((p + 1j * q) / s_base) @ idx.gen_at_bus
-                i_bus = np.conj((sl - inj) / v)
+                i_bus = np.conj((s_load - inj) / v)
             else:
-                i_bus = np.conj(sl / v)
+                i_bus = np.conj(s_load / v)
             v_new, i_ks = v, []
-            for k, ((root, _), (r, *_)) in enumerate(zip(reach, live)):
+            for k, (root, r) in enumerate(reach):
                 path = root.paths[0]
                 i_k = (i_bus * r) @ path  # backward: branch currents
                 v_new = np.where(r, 1.0 - (z * i_k) @ path.T, v_new)  # forward
@@ -423,24 +422,17 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
                     loss[k] = branch_loss(i_k)
             finite = np.isfinite(v_new).all(axis=1)
             done = finite & (np.abs(v_new - v).max(axis=1, initial=0.0) < VOLTAGE_TOLERANCE)
-            stop = done | ~finite | (it == MAX_ITERATIONS)
+            stop = running & (done | ~finite | (it == MAX_ITERATIONS))
             if stop.any():
-                out = ids[stop]
-                voltage[out], iterations[out], converged[out] = v_new[stop], it, done[stop]
-                i_line = np.zeros((len(out), len(z)), dtype=complex)
+                voltage[stop], iterations[stop], converged[stop] = v_new[stop], it, done[stop]
                 for k, i_k in enumerate(i_ks):
-                    i_line += i_k[stop]
-                    losses[k, out] = loss[k, stop] if dispatch else branch_loss(i_k[stop])
-                current[out] = i_line
+                    current[stop] += i_k[stop]
+                    losses[k, stop] = loss[k, stop] if dispatch else branch_loss(i_k[stop])
                 if dispatch:
-                    s_inj[out], gen_p[out], gen_q[out] = inj[stop], p[stop], q[stop]
-                keep = ~stop
-                ids, v_new, sl = ids[keep], v_new[keep], sl[keep]
-                live = [[x[keep] for x in isl] for isl in live]
-                if dispatch:
-                    fq, slack, loss = fq[keep], slack[keep], loss[:, keep]
+                    s_inj[stop], gen_p[stop], gen_q[stop] = inj[stop], p[stop], q[stop]
+                running &= ~stop
             v = v_new
-            if not ids.size:
+            if not running.any():
                 break
 
         # Root (slack) injections and sending-end flows from the final sweep.

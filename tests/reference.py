@@ -6,16 +6,23 @@ the bus admittance matrix, the restoration maximizer is a plain recursive tree
 search, and the learning step is one agent's unpadded forward pass, manual
 backprop and SGD update. They exist so the production implementations can be
 checked against independently written logic.
+
+It also holds ``train_in_workers``, which the acceptance fixtures use to run
+independent seeded trainings in parallel processes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from gridrestore.agent import AgentPair, Hyperparameters, QNetwork, StackedLearner
+from gridrestore.builtins import builtin_feeder
 from gridrestore.feeder import (
     Breaker,
     Bus,
@@ -27,6 +34,7 @@ from gridrestore.feeder import (
 )
 from gridrestore import powerflow
 from gridrestore.powerflow import ConstraintReport, PowerFlowSolution, check_constraints, solve
+from gridrestore.training import TrainingConfig, train
 
 
 def random_radial_feeder(
@@ -595,3 +603,22 @@ def numeric_gradient(learner: StackedLearner, batches: list[list[Experience]],
         numeric[k] = (up - loss()) / (2 * h)
         main[k] = value
     return numeric
+
+
+def train_builtin(name: str, cfg: TrainingConfig):
+    """``train(builtin_feeder(name), cfg)``: the worker of ``train_in_workers``.
+    It builds its own feeder object, so no verdict page crosses processes."""
+    return train(builtin_feeder(name), cfg)
+
+
+def train_in_workers(name: str, cfgs: list[TrainingConfig]) -> list:
+    """``train_builtin(name, cfg)`` for each config, in min(runs, cores)
+    spawned worker processes; (models, logs) come back by pickle, in order.
+
+    Each run is seeded and reads no other, so it gives the same bits as the
+    same call in this process.
+    """
+    workers = min(len(cfgs), os.cpu_count() or 1)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(train_builtin, [name] * len(cfgs), cfgs))

@@ -23,7 +23,6 @@ from gridrestore import (
     check_constraints,
     execute,
     solve,
-    train,
 )
 from reference import (
     Experience,
@@ -32,6 +31,7 @@ from reference import (
     padded_entries,
     random_radial_feeder,
     stacked_batch,
+    train_in_workers,
 )
 
 SEED_PANEL = (0, 1, 2, 5, 6)   # five fixed training seeds for the 13-node runs
@@ -73,44 +73,45 @@ def oracle123(ieee123):
 
 @pytest.fixture(scope="module")
 def panel13(ieee13):
-    """Five masked 2-agent runs at package defaults, plus greedy traces."""
+    """Five masked 2-agent runs at package defaults, trained in worker
+    processes, plus greedy traces."""
+    cfgs = [TrainingConfig(episodes=EPISODES_13, hyper=Hyperparameters(seed=seed))
+            for seed in SEED_PANEL]
     runs = {}
-    for seed in SEED_PANEL:
-        cfg = TrainingConfig(episodes=EPISODES_13, hyper=Hyperparameters(seed=seed))
-        models, logs = train(ieee13, cfg)
-        trace = execute(models, ieee13, max_steps=16)
-        runs[seed] = (models, logs, trace)
+    for seed, (models, logs) in zip(SEED_PANEL, train_in_workers("ieee13", cfgs)):
+        runs[seed] = (models, logs, execute(models, ieee13, max_steps=16))
     return runs
 
 
 @pytest.fixture(scope="module")
-def single13(ieee13):
-    """Masked and penalty single-agent runs with a shared seed and defaults."""
-    out = {}
-    for masking in (True, False):
-        cfg = TrainingConfig(
+def single13():
+    """Masked and penalty single-agent runs with a shared seed and defaults,
+    trained in worker processes."""
+    cfgs = [
+        TrainingConfig(
             episodes=EPISODES_13,
             agent_mode="single",
             masking=masking,
             hyper=Hyperparameters(seed=SINGLE_SEED),
         )
-        out["masked" if masking else "penalty"] = train(ieee13, cfg)
-    return out
+        for masking in (True, False)
+    ]
+    return dict(zip(("masked", "penalty"), train_in_workers("ieee13", cfgs)))
 
 
 @pytest.fixture(scope="module")
-def runs123(ieee123):
-    """Masked and penalty 5-agent runs on the synthesized 123-node feeder."""
-    out = {}
-    for masking in (True, False):
-        cfg = TrainingConfig(
+def runs123():
+    """Masked and penalty 5-agent runs on the synthesized 123-node feeder,
+    trained in worker processes."""
+    cfgs = [
+        TrainingConfig(
             masking=masking,
             hyper=Hyperparameters(seed=SEED_123, gamma=GAMMA_123),
             **CFG_123,
         )
-        models, logs = train(ieee123, cfg)
-        out["masked" if masking else "penalty"] = (models, logs)
-    return out
+        for masking in (True, False)
+    ]
+    return dict(zip(("masked", "penalty"), train_in_workers("ieee123", cfgs)))
 
 
 def test_criterion_1_thirteen_node_optimality(ieee13, oracle13, panel13):

@@ -425,6 +425,11 @@ def test_result_cache_round_trip(tmp_path, ieee13):
     del doc["solved_count"]
     path.write_text(json.dumps(doc))
     assert load_result(path, ieee13).solved_count == 512
+    # So does one written without its method, which loads as "cached".
+    assert loaded.method == result.method == "decomposed"
+    del doc["method"]
+    path.write_text(json.dumps(doc))
+    assert load_result(path, ieee13).method == "cached"
 
 
 def _two_states(doc):
@@ -442,10 +447,15 @@ def _two_states(doc):
     lambda doc: {**doc, "feasible_count": 12.9},
     lambda doc: {**doc, "solved_count": 48.5},
     lambda doc: {**doc, "evaluated_count": True},
+    lambda doc: {**doc, "best_weighted_kw": "2563"},
+    lambda doc: {**doc, "best_served_kw": True},
+    lambda doc: {**doc, "method": 7},
+    lambda doc: {**doc, "method": "cached"},
     _two_states,
 ], ids=["top-level-list", "int-states", "null-count", "list-kw", "fractional-states",
         "bool-state", "state-of-2", "fractional-feasible-count", "fractional-solved-count",
-        "bool-evaluated-count", "two-states-for-nine-breakers"])
+        "bool-evaluated-count", "string-weighted-kw", "bool-served-kw", "integer-method",
+        "unknown-method", "two-states-for-nine-breakers"])
 def test_result_cache_that_is_malformed_is_a_miss(tmp_path, ieee13, edit):
     path = tmp_path / "oracle.json"
     save_result(path, ieee13, brute_force(ieee13))

@@ -367,6 +367,16 @@ def test_open_breaker_splits_an_island_into_two_rooted_parts(p_max_b):
             assert sol.bus_voltages[bus_id] == pytest.approx(v, abs=1e-7)
 
 
+def _overloaded_feeders():
+    """Six seeded random feeders with every load at 150 times its rating."""
+    rng = np.random.default_rng(43)
+    for make in (random_radial_feeder, random_multi_generator_feeder) * 3:
+        feeder = make(rng)
+        yield dataclasses.replace(feeder, loads=tuple(
+            dataclasses.replace(ld, p_rated=150 * ld.p_rated, q_rated=150 * ld.q_rated)
+            for ld in feeder.loads))
+
+
 def _batch_matches_single(feeder, rows):
     batch = solve_batch(feeder, rows)
     for k, states in enumerate(rows):
@@ -384,14 +394,9 @@ def test_batched_solve_matches_single_solves(ieee13):
         feeder = random_multi_generator_feeder(rng)
         _batch_matches_single(feeder, all_states(feeder.n_breakers))
     # Loads 150 times their rating: in one batch some rows diverge, and the
-    # others converge at their own iterations and retire while it runs on.
-    rng = np.random.default_rng(43)
+    # others converge at their own iterations while it runs on.
     converged = []
-    for make in (random_radial_feeder, random_multi_generator_feeder) * 3:
-        feeder = make(rng)
-        feeder = dataclasses.replace(feeder, loads=tuple(
-            dataclasses.replace(ld, p_rated=150 * ld.p_rated, q_rated=150 * ld.q_rated)
-            for ld in feeder.loads))
+    for feeder in _overloaded_feeders():
         rows = all_states(feeder.n_breakers)
         _batch_matches_single(feeder, rows)
         converged += [solve(feeder, states).converged for states in rows]
@@ -435,17 +440,40 @@ def test_page_verdicts_are_unchanged(fresh_feeder):
         "238f37f0b03f2535658c0d80ff26d80b0811820e7d3e363f64e87241affdd7e4")
 
 
-def test_batched_solve_does_not_depend_on_batch_size(ieee123):
+def _split_batches_match(feeder, rows, cuts):
+    """Solve ``rows`` whole and in the parts between ``cuts``; every output
+    of each part must equal the whole batch's rows bit for bit."""
+    whole = solve_batch(feeder, rows)
+    for start, stop in zip((0, *cuts), (*cuts, len(rows))):
+        part = solve_batch(feeder, rows[start:stop])
+        for a, b in zip(part, whole):
+            assert np.array_equal(a, b[start:stop])
+    return whole
+
+
+def test_batched_solve_does_not_depend_on_batch_size(ieee13, ieee123):
     # 1,024 states: neither one batch nor single rows divide into the
     # oracle's batches of 91 rows evenly.
     island = islands(ieee123)[0]
     rows = all_states(len(island.breakers))
-    whole = solve_batch(island.feeder, rows)
-    for start, stop in ((0, 1), (1, 92), (92, 1000), (1000, 1024)):
-        part = solve_batch(island.feeder, rows[start:stop])
-        for a, b in zip(part, whole):
-            assert np.array_equal(a, b[start:stop])
+    _split_batches_match(island.feeder, rows, (1, 92, 1000))
     assert len(solve_batch(island.feeder, rows[:0]).feasible) == 0
+    # A dispatching page: g3 never roots its own part of the ieee13 island
+    # of g2 and g3, so every row dispatches a share to it.
+    sub = islands(ieee13)[1].feeder
+    rows = page_states(sub, 0)
+    idx = powerflow._network_index(sub)
+    assert [root.gen for root, _ in powerflow._reach(idx, rows != 0)[1]] == [0]
+    _split_batches_match(sub, rows, (1, 3, 20))
+    # Overloaded pages, in which rows stop at different iterations: the first
+    # one has rows stopping at 1, 7 and 100 iterations.
+    stops = []
+    for feeder in _overloaded_feeders():
+        rows = all_states(feeder.n_breakers)
+        n = len(rows)
+        whole = _split_batches_match(feeder, rows, sorted({1, n // 3 + 1, n - 1}))
+        stops.append(set(whole.iterations.tolist()))
+    assert stops[0] == {1, 7, 100}
 
 
 def _loads_feeder(p_kw, weights):

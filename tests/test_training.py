@@ -28,6 +28,7 @@ from gridrestore.training import (
     agent_slots,
     compare,
 )
+from reference import train_in_workers
 
 
 # sha256 of episodes.csv, trace.csv and the save_models checkpoint files
@@ -116,6 +117,18 @@ def test_training_is_bit_reproducible(ieee13):
             assert np.array_equal(w1, w2)
         for w1, w2 in zip(a.target.weights, b.target.weights):
             assert np.array_equal(w1, w2)
+
+
+def test_a_worker_run_is_bit_identical_to_an_in_process_run(ieee13):
+    cfg = quick_cfg(seed=17, episodes=30)
+    [(models, logs)] = train_in_workers("ieee13", [cfg])
+    here_models, here_logs = train(ieee13, cfg)
+    assert logs == here_logs
+    for a, b in zip(models, here_models, strict=True):
+        for x, y in zip(a.main.weights + a.main.biases + a.target.weights + a.target.biases,
+                        b.main.weights + b.main.biases + b.target.weights + b.target.biases,
+                        strict=True):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_masked_run_has_zero_violations(ieee13):
