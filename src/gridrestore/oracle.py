@@ -147,8 +147,8 @@ def save_result(path, feeder: Feeder, result: OracleResult) -> None:
 
 def load_result(path, feeder: Feeder | None = None) -> OracleResult | None:
     """Load a cached oracle result; None if missing, malformed or for another feeder.
-    Counts must be JSON integers, states 0s and 1s, one per breaker of ``feeder``,
-    kW values JSON numbers, and a ``method``, if given, ``naive`` or ``decomposed``."""
+    Counts must be JSON integers, states 0s and 1s, one per breaker of ``feeder``, kW
+    values finite, non-negative numbers, and a ``method``, if given, naive or decomposed."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -162,11 +162,11 @@ def load_result(path, feeder: Feeder | None = None) -> OracleResult | None:
         counts.append(doc.get("solved_count", counts[1]))
         kws, method = [doc["best_weighted_kw"], doc["best_served_kw"]], doc.get("method", "cached")
         if (type(states) is not list or any(type(v) is not int for v in states + counts)
-                or any(type(v) not in (int, float) for v in kws)
+                or any(type(v) not in (int, float) or not 0 <= v < float("inf") for v in kws)
                 or "method" in doc and method not in ("naive", "decomposed")
                 or not set(states) <= {0, 1}
                 or feeder is not None and len(states) != feeder.n_breakers):
             return None
         return OracleResult(tuple(states), *map(float, kws), *counts[:2], method, counts[2])
-    except (KeyError, TypeError, ValueError):  # a field of the wrong type
+    except (KeyError, TypeError, ValueError, OverflowError):  # a field of the wrong type
         return None

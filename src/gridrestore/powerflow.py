@@ -3,29 +3,35 @@
 The solver is a backward/forward sweep with current summation, written in the
 path-matrix (BIBC/BCBV) form of Teng, "A direct approach for distribution
 system load flow solutions" (IEEE Trans. Power Delivery, 2003). For each
-generator r, the full-closure tree rooted at r gives a path matrix A_r
-(buses x lines) with A_r[b, l] = 1 when line l lies on the path from r to bus
-b (A_r.T is read as a view), and P_r = LB @ A_r.T (breakers x buses) counts
-the lines on that path carrying each breaker (LB: breaker-by-line incidence).
-P_r comes from the tree walk alone, and A_r is built only for a sweep. A batch
-of breaker-state rows is solved at once:
+generator r, the full-closure tree rooted at r gives a path matrix A_r (buses
+x lines) with A_r[b, l] = 1 when line l lies on the path from r to bus b, and
+P_r = LB @ A_r.T (breakers x buses) counts the lines on that path carrying
+each breaker (LB: breaker-by-line incidence). P_r comes from the tree walk
+alone. A sweep builds A_r.T once, as a real C-contiguous (lines, buses)
+matrix, and reads A_r as its view. A batch of breaker-state rows is solved at
+once, bus-major (one column per row):
 
     energized buses:  reach_r = ((1 - bits) @ P_r == 0) & in_tree_r
     bus loads:        S = energized * S_bus       (S_bus: each bus's loads, summed)
-    backward:         I = (conj(S / V) * reach_r) @ A_r
-    forward:          V = 1 - (z * I) @ A_r.T
+    backward:         I = A_r.T @ (conj(S / V) * reach_r)
+    forward:          V = 1 - A_r @ (z * I)
 
 iterated to a fixed point (max per-iteration voltage change < 1e-6 p.u., at
-most 100 iterations). A batch iterates until its slowest row stops, and each
-row is read at its own stop, from that iteration's arrays. Roots are the
-generators, largest p_max first (then lowest index), that no earlier root
-reaches, so every energized island is rooted at its largest generator, also
-where an open breaker splits a multi-generator island. Generation is
-dispatched proportionally to p_max among an island's generators, each clipped
-to its box; the root generator acts as slack and absorbs the loss residual,
-so total generation equals served load plus losses exactly at the fixed
-point. A batch in which every energized island is fed by its root alone
-skips the dispatch arrays; its injections are 0.
+most 100 iterations). Read as floats, a complex (buses, rows) array is a real
+(buses, 2 rows) one, so each path product is one real matrix product. The
+order-free reductions over buses (all, max) run bus-major; each row's losses
+over lines and dispatch demand over buses, pairwise sums whose order sets the
+bits, are taken row-major, in a one-row solve's order. A batch iterates until
+its slowest row stops, and each row is read, back in row-major order, from the
+arrays of the iteration where it stops. Roots are the generators, largest
+p_max first (then lowest index), that no earlier root reaches, so every
+energized island is rooted at its largest generator, also where an open
+breaker splits a multi-generator island. Generation is dispatched
+proportionally to p_max among an island's generators, each clipped to its box;
+the root generator acts as slack and absorbs the loss residual, so total
+generation equals served load plus losses exactly at the fixed point. A batch
+in which every energized island is fed by its root alone skips the dispatch
+arrays; its injections are 0.
 
 A page solve (``solve_batch``) does only the work its verdicts read. The
 sweep sums a row's losses and branch currents at its stop (every iteration
@@ -125,8 +131,8 @@ class _Root:
     """The full-closure tree rooted at one generator.
 
     Its topology comes from the tree walk alone, so ``_reach`` and
-    ``restored_power`` never build a (buses, lines) matrix; the path matrices
-    a sweep reads are built at the first sweep (``paths``).
+    ``restored_power`` never build a path matrix. The first sweep builds the
+    one real (lines, buses) matrix its path products read (``paths``).
     """
 
     def __init__(self, idx: _NetworkIndex, gen: int):
@@ -144,9 +150,9 @@ class _Root:
 
     @cached_property
     def paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(path, up, at_root): the (buses, lines) complex A_r, read as A_r.T by
-        the forward sweep; each tree line's end nearer the root; and 1.0 on the
-        tree lines leaving the root bus."""
+        """(p_t, up, at_root): A_r.T as a real C-contiguous (lines, buses)
+        matrix, read as A_r through a view by the forward sweep; each tree
+        line's end nearer the root; and 1.0 on the tree lines leaving the root bus."""
         path = np.zeros((len(self.in_tree), self.n_lines))
         up = np.zeros(self.n_lines, dtype=np.intp)
         at_root = np.zeros(self.n_lines)
@@ -155,7 +161,7 @@ class _Root:
             path[v, li] = 1.0
             up[li] = u
             at_root[li] = u == self.bus
-        return path.astype(complex), up, at_root
+        return path.T.copy(), up, at_root
 
 
 class _Sweep(NamedTuple):
@@ -360,7 +366,7 @@ def restored_power(feeder: Feeder, states) -> tuple[float, float]:
 
 def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
     """Batched backward/forward sweep over (rows, breakers) closed masks."""
-    s_base, z = idx.s_base, idx.line_z
+    s_base, z = idx.s_base, idx.line_z[:, None]  # (lines, 1)
     rows, n_gens = len(closed), len(idx.gen_bus)
     energized, reach = _reach(idx, closed)
     served = energized[:, idx.load_bus]
@@ -383,8 +389,8 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
             gen_fq = np.where(member, f_q[:, None], gen_fq)
             shares.append((member, demand.real * s_base, member @ idx.gen_p_max))
 
-    def branch_loss(i_k):  # p.u. per row
-        return (z.real * np.abs(i_k) ** 2).sum(axis=1)
+    def branch_loss(i_k):  # p.u. per row of (lines, rows) currents, summed row-major
+        return (z.real * np.abs(i_k) ** 2).T.copy().sum(axis=1)
 
     voltage = np.ones((rows, idx.n_buses), dtype=complex)
     current = np.zeros((rows, len(z)), dtype=complex)
@@ -393,10 +399,11 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
     losses = np.zeros((len(reach), rows))  # p.u.
     iterations = np.zeros(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
-    # The page runs until its slowest row stops; each row's outputs, summed
-    # branch currents and (unless the dispatch reads them every iteration)
-    # losses are taken once, from the arrays of the iteration where it stops.
-    running, v, loss = np.ones(rows, dtype=bool), voltage, losses.copy()
+    s_load, sweeps = s_load.T.copy(), [(root.paths[0], r.T.copy()) for root, r in reach]
+    # The page runs, bus-major, until its slowest row stops; each row's outputs,
+    # summed branch currents and (unless the dispatch reads them every
+    # iteration) losses are taken once, from the arrays of the iteration it stops at.
+    running, loss, v = np.ones(rows, bool), losses.copy(), np.ones_like(s_load)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, MAX_ITERATIONS + 1):
             if dispatch:  # proportional shares, refreshed with the loss estimate
@@ -409,25 +416,24 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
                 box = np.minimum(np.maximum(idx.gen_q_max * gen_fq, idx.gen_q_min), idx.gen_q_max)
                 q = np.where(slack, 0.0, box)
                 inj = ((p + 1j * q) / s_base) @ idx.gen_at_bus
-                i_bus = np.conj((s_load - inj) / v)
+                i_bus = np.conj((s_load - inj.T) / v)
             else:
                 i_bus = np.conj(s_load / v)
             v_new, i_ks = v, []
-            for k, (root, r) in enumerate(reach):
-                path = root.paths[0]
-                i_k = (i_bus * r) @ path  # backward: branch currents
-                v_new = np.where(r, 1.0 - (z * i_k) @ path.T, v_new)  # forward
+            for k, (p_t, r) in enumerate(sweeps):  # backward, then forward
+                i_k = (p_t @ (i_bus * r).view(float)).view(complex)  # (lines, rows)
+                v_new = np.where(r, 1.0 - (p_t.T @ (z * i_k).view(float)).view(complex), v_new)
                 i_ks.append(i_k)
                 if dispatch:
                     loss[k] = branch_loss(i_k)
-            finite = np.isfinite(v_new).all(axis=1)
-            done = finite & (np.abs(v_new - v).max(axis=1, initial=0.0) < VOLTAGE_TOLERANCE)
+            finite = np.isfinite(v_new).all(axis=0)
+            done = finite & (np.abs(v_new - v).max(axis=0, initial=0.0) < VOLTAGE_TOLERANCE)
             stop = running & (done | ~finite | (it == MAX_ITERATIONS))
             if stop.any():
-                voltage[stop], iterations[stop], converged[stop] = v_new[stop], it, done[stop]
+                voltage[stop], iterations[stop], converged[stop] = v_new[:, stop].T, it, done[stop]
                 for k, i_k in enumerate(i_ks):
-                    current[stop] += i_k[stop]
-                    losses[k, stop] = loss[k, stop] if dispatch else branch_loss(i_k[stop])
+                    current[stop] += i_k[:, stop].T
+                    losses[k, stop] = loss[k, stop] if dispatch else branch_loss(i_k[:, stop])
                 if dispatch:
                     s_inj[stop], gen_p[stop], gen_q[stop] = inj[stop], p[stop], q[stop]
                 running &= ~stop
@@ -442,7 +448,7 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
             _, up, at_root = root.paths
             owned = line_on & r[:, idx.line_from]
             flow = np.where(owned, voltage[:, up] * conj_i * s_base, flow)
-            s_root = conj_i @ at_root + s_load[:, root.bus] - s_inj[:, root.bus]
+            s_root = conj_i @ at_root + s_load[root.bus] - s_inj[:, root.bus]
             rooted = r[:, root.bus]
             gen_p[rooted, root.gen] = s_root.real[rooted] * s_base
             gen_q[rooted, root.gen] = s_root.imag[rooted] * s_base

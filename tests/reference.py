@@ -8,12 +8,14 @@ backprop and SGD update. They exist so the production implementations can be
 checked against independently written logic.
 
 It also holds ``train_in_workers``, which the acceptance fixtures use to run
-independent seeded trainings in parallel processes.
+independent seeded trainings in parallel processes, and ``verdict_pages`` and
+``digest``, the page loop and the hash the solver's pinned digests share.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +35,15 @@ from gridrestore.feeder import (
     MicrogridPartition,
 )
 from gridrestore import powerflow
-from gridrestore.powerflow import ConstraintReport, PowerFlowSolution, check_constraints, solve
+from gridrestore.powerflow import (
+    ConstraintReport,
+    PowerFlowSolution,
+    check_constraints,
+    islands,
+    page_states,
+    solve,
+    solve_batch,
+)
 from gridrestore.training import TrainingConfig, train
 
 
@@ -259,6 +269,25 @@ def study_feeder_8500(n_trees: int = 10) -> Feeder:
            for key in ("buses", "lines", "breakers", "loads", "generators")},
         partition=MicrogridPartition(tuple(tuple(b.id for b in part.breakers) for part in parts)),
     )
+
+
+def verdict_pages(feeder: Feeder):
+    """(island feeder, page states, ``solve_batch`` verdicts) for every verdict
+    page of every island of ``feeder``, in island order, then page order."""
+    for _, sub in islands(feeder):
+        page = 0
+        while len(states := page_states(sub, page)):
+            yield sub, states, solve_batch(sub, states)
+            page += 1
+
+
+def digest(arrays) -> str:
+    """One sha256 over dtype, shape and bytes of every array, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str} {a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def served_loads(feeder: Feeder, states) -> list[bool]:

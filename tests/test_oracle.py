@@ -29,11 +29,13 @@ from gridrestore.oracle import load_result, save_result
 from reference import (
     crowded,
     dense_reference_solve,
+    digest,
     joined_islands,
     random_multi_generator_feeder,
     random_radial_feeder,
     recursive_best,
     study_feeder_8500,
+    verdict_pages,
 )
 
 IEEE13_BEST = (0, 1, 1, 0, 0, 0, 1, 0, 1)  # cb2, cb3, cb7, cb9
@@ -385,6 +387,14 @@ def test_study_feeder_8500_islands_and_oracle_stay_small():
             tracemalloc.stop()
     assert peaks[0] < 50 and peaks[1] < 250, f"tracemalloc peaks {peaks} MiB"
     assert (result.method, result.solved_count, result.evaluated_count) == ("decomposed", 2048, 2 ** 76)
+    # The optimum and every page verdict, bit for bit. The sweep's products
+    # may round differently on trees this deep, but no verdict may move.
+    optimum = float.fromhex("0x1.1666bc6a7ef9dp+12")  # 4,454.42 kW
+    assert (result.best_weighted_kw, result.best_served_kw) == (optimum, optimum)
+    assert result.feasible_count == 75557863725914323419136
+    pages = [a for _, _, verdicts in verdict_pages(feeder) for a in verdicts]
+    assert len(pages) == 1760 and digest(pages) == (
+        "eca0d60491f6453f0cc5f46eeb9acecb5f49001fd414a673e462ec20936e2e9d")
 
 
 def test_solved_count_per_method(ieee13, ieee123):
@@ -451,11 +461,16 @@ def _two_states(doc):
     lambda doc: {**doc, "best_served_kw": True},
     lambda doc: {**doc, "method": 7},
     lambda doc: {**doc, "method": "cached"},
+    lambda doc: {**doc, "best_weighted_kw": float("nan")},
+    lambda doc: {**doc, "best_served_kw": float("inf")},
+    lambda doc: {**doc, "best_served_kw": -1e300},
+    lambda doc: {**doc, "best_weighted_kw": 10 ** 400},
     _two_states,
 ], ids=["top-level-list", "int-states", "null-count", "list-kw", "fractional-states",
         "bool-state", "state-of-2", "fractional-feasible-count", "fractional-solved-count",
         "bool-evaluated-count", "string-weighted-kw", "bool-served-kw", "integer-method",
-        "unknown-method", "two-states-for-nine-breakers"])
+        "unknown-method", "nan-weighted-kw", "infinite-served-kw", "negative-served-kw",
+        "overflowing-weighted-kw", "two-states-for-nine-breakers"])
 def test_result_cache_that_is_malformed_is_a_miss(tmp_path, ieee13, edit):
     path = tmp_path / "oracle.json"
     save_result(path, ieee13, brute_force(ieee13))

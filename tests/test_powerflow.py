@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import tracemalloc
 
 import numpy as np
@@ -23,12 +22,14 @@ from gridrestore import powerflow
 from gridrestore.powerflow import page_states, solve_batch
 from reference import (
     dense_reference_solve,
+    digest,
     dict_check_constraints,
     joined_islands,
     random_multi_generator_feeder,
     random_radial_feeder,
     served_loads,
     study_feeder_8500,
+    verdict_pages,
 )
 
 
@@ -417,27 +418,24 @@ def test_batched_solve_matches_single_solves(ieee13):
 
 
 def test_page_verdicts_are_unchanged(fresh_feeder):
-    # One sha256 over dtype, shape and bytes of every solve_batch output:
-    # every verdict page of every ieee13 and ieee123 island, then all 512
-    # ieee13 states in one batch. Any change to a page's verdict, served kW,
-    # weighted kW or iteration count shows here.
-    digest = hashlib.sha256()
-
-    def add(verdicts):
-        for a in verdicts:
-            digest.update(f"{a.dtype.str} {a.shape}".encode())
-            digest.update(a.tobytes())
-
-    feeders = {name: fresh_feeder(name) for name in ("ieee13", "ieee123")}
-    for feeder in feeders.values():
-        for _, sub in islands(feeder):
-            page = 0
-            while len(states := page_states(sub, page)):
-                add(solve_batch(sub, states))
-                page += 1
-    add(solve_batch(feeders["ieee13"], all_states(9)))
-    assert digest.hexdigest() == (
+    # Every solve_batch output of every verdict page of every ieee13 and
+    # ieee123 island, then all 512 ieee13 states in one batch. Any change to
+    # a page's verdict, served kW, weighted kW or iteration count shows here.
+    feeders = [fresh_feeder(name) for name in ("ieee13", "ieee123")]
+    pages = [a for feeder in feeders for _, _, verdicts in verdict_pages(feeder) for a in verdicts]
+    assert digest([*pages, *solve_batch(feeders[0], all_states(9))]) == (
         "238f37f0b03f2535658c0d80ff26d80b0811820e7d3e363f64e87241affdd7e4")
+
+
+def test_sweep_arrays_are_unchanged(fresh_feeder):
+    # Every _sweep output (voltages, flows, injections, losses and flags) of
+    # the same pages, so the solver's arrays cannot drift where the verdicts
+    # do not read them. The ieee13 island of g2 and g3 dispatches.
+    arrays = [a for name in ("ieee13", "ieee123")
+              for sub, states, _ in verdict_pages(fresh_feeder(name))
+              for a in powerflow._sweep(powerflow._network_index(sub), states != 0)]
+    assert digest(arrays) == (
+        "e0dce80d8be0f67c81194716576e1e54ea2a841aba9d5932414b54687ea4fd75")
 
 
 def _split_batches_match(feeder, rows, cuts):
@@ -527,9 +525,10 @@ def test_served_power_is_bit_identical_to_per_row_sums(n_loads):
 
 
 def test_restored_power_needs_no_path_matrix():
-    # The first two trees of the study feeder: 1,537 buses. One (buses,
-    # lines) complex path matrix per generator took 90.1 MiB here; the
-    # topology alone takes a (breakers, buses) count matrix per generator.
+    # The first two trees of the study feeder: 1,537 buses. One real (lines,
+    # buses) path matrix per generator keeps 36 MiB here and peaks at 54 MiB
+    # while built (the complex matrix kept 72); the topology alone takes a
+    # (breakers, buses) count matrix per generator.
     feeder = study_feeder_8500(n_trees=2)
     assert (len(feeder.buses), feeder.n_breakers) == (1537, 15)
     rows = [[1] * 15, [k % 2 for k in range(15)], [0] * 15]
