@@ -68,6 +68,8 @@ class RestorationEnv:
     ):
         if reward_mode not in ("masked", "penalty"):
             raise ValueError(f"unknown reward_mode {reward_mode!r}")
+        if type(max_steps) is not int:  # bool is an int subclass
+            raise ValueError(f"max_steps must be an int, not {max_steps!r}")
         if max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {max_steps}")
         self.feeder = feeder

@@ -33,11 +33,13 @@ generation equals served load plus losses exactly at the fixed point. A batch
 in which every energized island is fed by its root alone skips the dispatch
 arrays; its injections are 0.
 
-A page solve (``solve_batch``) does only the work its verdicts read. The
-sweep sums a row's losses and branch currents at its stop (every iteration
-only while the dispatch reads the losses), and the check keeps each
-constraint's pass flag, seeking no margin or worst offender. Every array
-it keeps equals that of the full evaluation bit for bit.
+A page solve (``solve_batch``) does only the work its verdicts read: the
+sweep divides by no V at iteration 1, reads finiteness from the max voltage
+change and sums a row's losses after the loop, from its per-root currents at
+its stop (each iteration while the dispatch reads them); a one-root page with
+no dispatch skips the reach mask and owns every energized line; the check
+keeps only each constraint's pass flag. Every array it keeps equals that of
+the full evaluation bit for bit.
 
 De-energized buses report 1.0 p.u. by convention, carry no load, and are
 excluded from flows and from the voltage constraint. Divergence never raises;
@@ -150,18 +152,20 @@ class _Root:
 
     @cached_property
     def paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p_t, up, at_root): A_r.T as a real C-contiguous (lines, buses)
-        matrix, read as A_r through a view by the forward sweep; each tree
-        line's end nearer the root; and 1.0 on the tree lines leaving the root bus."""
-        path = np.zeros((len(self.in_tree), self.n_lines))
+        """(p_t, up, at_root): A_r.T, filled in place as a real C-contiguous
+        (lines, buses) matrix whose row l marks the buses below line l; each
+        tree line's end nearer the root; and 1.0 on the lines leaving the root bus."""
+        p_t = np.zeros((self.n_lines, len(self.in_tree)))
         up = np.zeros(self.n_lines, dtype=np.intp)
         at_root = np.zeros(self.n_lines)
-        for v, li, u in self.walk:
-            path[v] = path[u]
-            path[v, li] = 1.0
+        into = {v: li for v, li, _ in self.walk}  # the tree line into each bus
+        for v, li, u in reversed(self.walk):
+            p_t[li, v] = 1.0
+            if u in into:
+                p_t[into[u]] += p_t[li]  # disjoint subtrees: sums stay 0 or 1
             up[li] = u
             at_root[li] = u == self.bus
-        return path.T.copy(), up, at_root
+        return p_t, up, at_root
 
 
 class _Sweep(NamedTuple):
@@ -370,7 +374,7 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
     rows, n_gens = len(closed), len(idx.gen_bus)
     energized, reach = _reach(idx, closed)
     served = energized[:, idx.load_bus]
-    s_load = energized * idx.bus_s  # p.u. per bus
+    s_load = np.multiply(energized.T, idx.bus_s[:, None], order="C")  # (buses, rows) p.u.
     slack = np.zeros((rows, n_gens), dtype=bool)
     for root, r in reach:
         slack[:, root.gen] = r[:, root.bus]
@@ -382,30 +386,31 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
     if dispatch:
         for _, r in reach:
             member = r[:, idx.gen_bus]
-            demand = (s_load * r).sum(axis=1)
+            demand = np.multiply(s_load.T, r, order="C").sum(axis=1)
             q_cap = member @ idx.gen_q_max
             with np.errstate(divide="ignore", invalid="ignore"):
                 f_q = np.where(q_cap > 0, np.minimum(1.0, demand.imag * s_base / q_cap), 0.0)
             gen_fq = np.where(member, f_q[:, None], gen_fq)
             shares.append((member, demand.real * s_base, member @ idx.gen_p_max))
+    lean = len(reach) == 1 and not dispatch  # no load off the reach; every line on is the root's
 
-    def branch_loss(i_k):  # p.u. per row of (lines, rows) currents, summed row-major
-        return (z.real * np.abs(i_k) ** 2).T.copy().sum(axis=1)
+    def branch_loss(i_k):  # p.u. per row of (..., rows, lines) currents, summed row-major
+        return (idx.line_z.real * np.abs(i_k, order="C") ** 2).sum(axis=-1)
 
-    voltage = np.ones((rows, idx.n_buses), dtype=complex)
-    current = np.zeros((rows, len(z)), dtype=complex)
+    voltage = np.empty((rows, idx.n_buses), dtype=complex)  # each row set at its stop
+    currents = np.zeros((len(reach), rows, len(z)), dtype=complex)  # per root
     gen_p, gen_q = np.zeros((rows, n_gens)), np.zeros((rows, n_gens))
-    s_inj = np.zeros_like(voltage)
+    s_inj = np.zeros((rows, idx.n_buses), dtype=complex) if dispatch else None
     losses = np.zeros((len(reach), rows))  # p.u.
-    iterations = np.zeros(rows, dtype=int)
-    converged = np.zeros(rows, dtype=bool)
-    s_load, sweeps = s_load.T.copy(), [(root.paths[0], r.T.copy()) for root, r in reach]
-    # The page runs, bus-major, until its slowest row stops; each row's outputs,
-    # summed branch currents and (unless the dispatch reads them every
-    # iteration) losses are taken once, from the arrays of the iteration it stops at.
+    iterations, converged = np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool)
+    sweeps = [(root.paths[0], r.T.copy()) for root, r in reach]
+    # The page runs, bus-major, until its slowest row stops; each row's outputs and
+    # per-root currents are taken from the iteration it stops at, and its losses are
+    # summed from those currents after the loop (each iteration if the dispatch reads them).
     running, loss, v = np.ones(rows, bool), losses.copy(), np.ones_like(s_load)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(1, MAX_ITERATIONS + 1):
+        for it in range(1, MAX_ITERATIONS + 1 if rows else 1):  # an empty page runs none
+            i_bus = s_load
             if dispatch:  # proportional shares, refreshed with the loss estimate
                 fp = np.zeros_like(gen_fq)
                 for k, (member, demand_kw, p_cap) in enumerate(shares):
@@ -416,39 +421,47 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
                 box = np.minimum(np.maximum(idx.gen_q_max * gen_fq, idx.gen_q_min), idx.gen_q_max)
                 q = np.where(slack, 0.0, box)
                 inj = ((p + 1j * q) / s_base) @ idx.gen_at_bus
-                i_bus = np.conj((s_load - inj.T) / v)
-            else:
-                i_bus = np.conj(s_load / v)
+                i_bus = s_load - inj.T
+            i_bus = np.conj(i_bus if it == 1 else i_bus / v)  # v is all ones at iteration 1
             v_new, i_ks = v, []
             for k, (p_t, r) in enumerate(sweeps):  # backward, then forward
-                i_k = (p_t @ (i_bus * r).view(float)).view(complex)  # (lines, rows)
+                i_k = (p_t @ (i_bus if lean else i_bus * r).view(float)).view(complex)
                 v_new = np.where(r, 1.0 - (p_t.T @ (z * i_k).view(float)).view(complex), v_new)
                 i_ks.append(i_k)
                 if dispatch:
-                    loss[k] = branch_loss(i_k)
-            finite = np.isfinite(v_new).all(axis=0)
-            done = finite & (np.abs(v_new - v).max(axis=0, initial=0.0) < VOLTAGE_TOLERANCE)
-            stop = running & (done | ~finite | (it == MAX_ITERATIONS))
+                    loss[k] = branch_loss(i_k.T)
+            # A running row's v is finite: only a non-finite max change needs a bus-by-bus check.
+            change = np.abs(v_new - v).max(axis=0, initial=0.0)
+            done, diverged = change < VOLTAGE_TOLERANCE, running & ~np.isfinite(change)
+            if diverged.any():
+                diverged[diverged] = ~np.isfinite(v_new[:, diverged]).all(axis=0)
+                if lean and diverged.any():  # a non-finite current: take the masked product's nans
+                    i_ks = [(p_t @ (i_bus * r).view(float)).view(complex)]
+                    v_new = np.where(r, 1.0 - (p_t.T @ (z * i_ks[0]).view(float)).view(complex), v)
+            stop = running & (done | diverged | (it == MAX_ITERATIONS))
             if stop.any():
                 voltage[stop], iterations[stop], converged[stop] = v_new[:, stop].T, it, done[stop]
                 for k, i_k in enumerate(i_ks):
-                    current[stop] += i_k[:, stop].T
-                    losses[k, stop] = loss[k, stop] if dispatch else branch_loss(i_k[:, stop])
+                    currents[k, stop] = i_k[:, stop].T
                 if dispatch:
                     s_inj[stop], gen_p[stop], gen_q[stop] = inj[stop], p[stop], q[stop]
+                    losses[:, stop] = loss[:, stop]
                 running &= ~stop
+                if not running.any():
+                    break
             v = v_new
-            if not running.any():
-                break
+        v = v_new = i_bus = i_k = i_ks = None  # released, so the flows reuse their memory
+        losses = losses if dispatch else branch_loss(currents)
+        current = currents.sum(axis=0, initial=0)  # added root by root onto 0, as they stop
 
         # Root (slack) injections and sending-end flows from the final sweep.
         line_on = (((~closed) @ idx.breaker_line) == 0) & energized[:, idx.line_from]
         flow, conj_i = np.zeros_like(current), np.conj(current)
         for root, r in reach:
             _, up, at_root = root.paths
-            owned = line_on & r[:, idx.line_from]
+            owned = line_on if lean else line_on & r[:, idx.line_from]
             flow = np.where(owned, voltage[:, up] * conj_i * s_base, flow)
-            s_root = conj_i @ at_root + s_load[root.bus] - s_inj[:, root.bus]
+            s_root = conj_i @ at_root + s_load[root.bus] - (s_inj[:, root.bus] if dispatch else 0)
             rooted = r[:, root.bus]
             gen_p[rooted, root.gen] = s_root.real[rooted] * s_base
             gen_q[rooted, root.gen] = s_root.imag[rooted] * s_base

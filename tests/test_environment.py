@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -134,13 +135,17 @@ def test_episode_exhaustion(ieee13):
     env.step(NOOP13)  # reset clears the budget
 
 
-@pytest.mark.parametrize("max_steps", [0, -3])
+@pytest.mark.parametrize("max_steps", [0, -3, 2.5, True, "16"])
 def test_max_steps_below_one_is_rejected(ieee13, max_steps):
-    with pytest.raises(ValueError, match=f"max_steps must be at least 1, got {max_steps}"):
+    # Below 1, or not an int (a bool is not one): refused, naming the value,
+    # before an episode or a rollout's range() starts.
+    message = re.escape(f"max_steps must be at least 1, got {max_steps}" if type(max_steps) is int
+                        else f"max_steps must be an int, not {max_steps!r}")
+    with pytest.raises(ValueError, match=message):
         RestorationEnv(ieee13, max_steps=max_steps)
     zero_nets = [QNetwork([np.zeros((2 * len(g), len(g)))], [np.zeros(2 * len(g))])
                  for g in ieee13.partition.assignments]
-    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+    with pytest.raises(ValueError, match=message):
         execute(zero_nets, ieee13, max_steps=max_steps)
 
 

@@ -438,6 +438,42 @@ def test_sweep_arrays_are_unchanged(fresh_feeder):
         "e0dce80d8be0f67c81194716576e1e54ea2a841aba9d5932414b54687ea4fd75")
 
 
+def _diverging_fork(p_max_c):
+    """Laterals a-b (cb1) and a-c (cb2) off the generator at a. Closed, cb1
+    drives bus b's voltage to exactly 0 at iteration 2, so its rows turn
+    non-finite and stop at 3, while a row with only cb2 closed converges at
+    5. A generator of ``p_max_c`` kW at c (if any) takes a dispatched share."""
+    gens = (Generator("g", "a", 0.0, 5000.0, 0.0, 3000.0),)
+    if p_max_c:
+        gens += (Generator("gc", "c", 0.0, p_max_c, 0.0, 0.6 * p_max_c),)
+    return Feeder(
+        name="fork", s_base_kva=1000.0, v_base_kv=4.16, buses=(Bus("a"), Bus("b"), Bus("c")),
+        lines=(Line("l1", "a", "b", 1.0, 0.0, 5000.0), Line("l2", "a", "c", 0.05, 0.1, 5000.0)),
+        breakers=(Breaker("cb1", "l1", 0), Breaker("cb2", "l2", 0)),
+        loads=(LoadPoint("lb", "b", 500.0, 0.0, 1.0, ""), LoadPoint("lc", "c", 500.0, 150.0, 1.0, "")),
+        generators=gens, partition=MicrogridPartition((("cb1", "cb2"),)),
+    )
+
+
+def test_sweep_arrays_are_unchanged_where_the_builtin_pages_do_not_reach():
+    # Every _sweep output over all states of feeders the built-in pages never
+    # show: overloaded ones, whose rows run to MAX_ITERATIONS; ones whose rows
+    # turn non-finite; multi-generator ones, whose pages dispatch;
+    # one-generator radial ones; and joined islands, whose pages have several
+    # roots and no dispatch.
+    rng = np.random.default_rng(61)
+    feeders = [*_overloaded_feeders(), _diverging_fork(0), _diverging_fork(300.0),
+               two_bus(resistance=1.0, p_kw=500.0, p_max=5000.0),
+               *(random_multi_generator_feeder(rng) for _ in range(10)),
+               *(random_radial_feeder(rng) for _ in range(10)),
+               *(joined_islands(rng) for _ in range(4))]
+    arrays = [a for feeder in feeders
+              for a in powerflow._sweep(powerflow._network_index(feeder),
+                                        all_states(feeder.n_breakers) != 0)]
+    assert digest(arrays) == (
+        "886a4a31f9339265d3218f3d74b94fd8a3e2886426de0333b93c8252157d90af")
+
+
 def _split_batches_match(feeder, rows, cuts):
     """Solve ``rows`` whole and in the parts between ``cuts``; every output
     of each part must equal the whole batch's rows bit for bit."""
@@ -541,6 +577,27 @@ def test_restored_power_needs_no_path_matrix():
     assert peak < 10, f"tracemalloc peak {peak:.1f} MiB"
     served = np.array([served_loads(feeder, s) for s in rows])
     _assert_bits_equal(got, _per_row_sums(feeder, served))
+
+
+def test_path_matrix_is_filled_in_place():
+    # One root's (lines, buses) path matrix on a seeded feeder of 382 buses:
+    # the build peaks within 1.1 times the arrays it keeps, with no second
+    # matrix, and bus v's column is its parent's plus the line into v.
+    feeder = random_radial_feeder(np.random.default_rng(71), max_buses=400)
+    assert len(feeder.buses) == 382
+    root = powerflow._network_index(feeder).roots[0]
+    tracemalloc.start()
+    try:
+        p_t, up, at_root = root.paths
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * (p_t.nbytes + up.nbytes + at_root.nbytes), f"tracemalloc peak {peak} B"
+    assert p_t.shape == (len(feeder.lines), len(feeder.buses)) and p_t.flags.c_contiguous
+    assert not p_t[:, root.bus].any()
+    for v, li, u in root.walk:
+        assert np.array_equal(p_t[:, v], p_t[:, u] + (np.arange(len(feeder.lines)) == li))
+        assert up[li] == u and at_root[li] == (u == root.bus)
 
 
 def test_restored_power_sums_match_reference_on_random_feeders():
