@@ -30,7 +30,9 @@ Two reward modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -55,6 +57,17 @@ class StepResult:
     constraints_ok: bool
 
 
+def check_penalty(penalty):
+    """``penalty`` itself when it is a real number, not a bool, that is finite
+    as a float: a penalized step returns it as its reward."""
+    try:
+        if isinstance(penalty, Real) and not isinstance(penalty, bool) and math.isfinite(penalty):
+            return penalty
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(f"penalty must be finite and a real number, not {penalty!r}")
+
+
 class RestorationEnv:
     """Environment state: a feeder, its breaker vector, and a step counter."""
 
@@ -74,7 +87,7 @@ class RestorationEnv:
             raise ValueError(f"max_steps must be at least 1, got {max_steps}")
         self.feeder = feeder
         self.reward_mode = reward_mode
-        self.penalty = penalty
+        self.penalty = check_penalty(penalty)
         self.max_steps = max_steps
         if agent_breakers is None:
             agent_breakers = [

@@ -35,11 +35,11 @@ arrays; its injections are 0.
 
 A page solve (``solve_batch``) does only the work its verdicts read: the
 sweep divides by no V at iteration 1, reads finiteness from the max voltage
-change and sums a row's losses after the loop, from its per-root currents at
-its stop (each iteration while the dispatch reads them); a one-root page with
-no dispatch skips the reach mask and owns every energized line; the check
-keeps only each constraint's pass flag. Every array it keeps equals that of
-the full evaluation bit for bit.
+change and sums each row's losses once, after the loop, from its per-root
+currents at its stop; a one-root page with no dispatch skips the reach mask
+and owns every energized line; served kW is summed per served-load count,
+over one gathered block; the check keeps only each constraint's pass flag.
+Every array it keeps equals that of the full evaluation bit for bit.
 
 De-energized buses report 1.0 p.u. by convention, carry no load, and are
 excluded from flows and from the voltage constraint. Divergence never raises;
@@ -205,8 +205,8 @@ class _NetworkIndex:
             self.breaker_line[bi, line_pos[brk.line_id]] = 1.0
         self.load_bus = np.array([bus_pos[ld.bus_id] for ld in feeder.loads], dtype=np.intp)
         load_p = np.array([ld.p_rated for ld in feeder.loads], dtype=float)
-        # (loads, 2): rated kW and weighted kW of each load
-        self.load_kw = np.stack([load_p, load_p * np.array([ld.weight for ld in feeder.loads])], 1)
+        # (2, loads): rated kW and weighted kW of each load
+        self.load_kw = np.stack([load_p, load_p * np.array([ld.weight for ld in feeder.loads])])
         load_s = [complex(ld.p_rated, ld.q_rated) / self.s_base for ld in feeder.loads]
         self.bus_s = np.zeros(self.n_buses, dtype=complex)  # p.u. load per bus, in load order
         np.add.at(self.bus_s, self.load_bus, load_s)  # a bus's loads are served together
@@ -325,30 +325,20 @@ def _reach(idx: _NetworkIndex, closed: np.ndarray):
 def _served_power(idx: _NetworkIndex, served: np.ndarray):
     """(served kW, weighted kW) per row of a (rows, loads) served mask.
 
-    Bit-identical to ``kw[mask].sum()`` row by row, in a few array calls.
-    A counting sort groups the rows by served-load count (row order kept
-    within a count), and each row's served kW and weighted kW are packed,
-    in load order, to the left of zeroed rows at its sorted place. The rows
-    that serve exactly c loads are then one contiguous (k, 2, c) block,
-    summed together. A contiguous row sum adds in the same order as a 1-D
-    sum of the same c values; zero padding to a common width would not,
-    since numpy's pairwise summation groups values by position once a row
-    holds 8 or more.
+    Bit-identical to ``kw[mask].sum()`` row by row: the kW and weighted kW of
+    the k rows serving c > 0 loads are gathered, in load order, into one
+    C-ordered (2, k, c) block, whose sums on its last axis add as a 1-D sum
+    does. Padding rows to one width would not, as numpy's pairwise summation
+    groups values by position from 8 values on; nor would ``kw[:, col]``,
+    whose block is not C-ordered.
     """
     count = served.sum(axis=1)
-    size = np.bincount(count)  # rows per count
-    first = np.cumsum(size) - size  # sorted place of each count's first row
-    rank = np.cumsum(count[:, None] == np.arange(len(size)), axis=0)[np.arange(len(count)), count]
-    place = first[count] + rank - 1
-    r, col = np.nonzero(served)  # row-major: each row's loads in load order
-    slot = np.arange(len(r)) - (np.cumsum(count) - count)[r]
-    packed = np.zeros((len(served), 2, served.shape[1]))
-    packed[place[r], :, slot] = idx.load_kw[col]
-    out = np.empty((2, len(served)))
-    for c in np.flatnonzero(size).tolist():
-        lo, hi = first[c], first[c] + size[c]
-        out[:, lo:hi] = packed[lo:hi, :, :c].sum(axis=2).T
-    return out[:, place]
+    out = np.zeros((2, len(served)))
+    for c in (np.flatnonzero(np.bincount(count)[1:]) + 1).tolist():  # the counts above 0
+        rows = np.flatnonzero(count == c)
+        col = np.nonzero(served[rows])[1].reshape(len(rows), c)  # each row's loads in load order
+        out[:, rows] = idx.load_kw.take(col, axis=1).sum(axis=2)
+    return out
 
 
 def _restored(feeder: Feeder, states):
@@ -381,7 +371,7 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
     # Some generator follows a proportional share. Else every injection but
     # the roots' is 0, and the sweep skips the dispatch arrays.
     dispatch = not slack.all()
-    gen_fq = np.zeros((rows, n_gens))
+    gen_p, gen_q = np.zeros((rows, n_gens)), np.zeros((rows, n_gens))
     shares = []  # per root when dispatching: member generators, island demand kW and p_max
     if dispatch:
         for _, r in reach:
@@ -390,8 +380,10 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
             q_cap = member @ idx.gen_q_max
             with np.errstate(divide="ignore", invalid="ignore"):
                 f_q = np.where(q_cap > 0, np.minimum(1.0, demand.imag * s_base / q_cap), 0.0)
-            gen_fq = np.where(member, f_q[:, None], gen_fq)
+            gen_q = np.where(member, f_q[:, None], gen_q)  # the share, boxed below
             shares.append((member, demand.real * s_base, member @ idx.gen_p_max))
+        box = np.minimum(np.maximum(idx.gen_q_max * gen_q, idx.gen_q_min), idx.gen_q_max)
+        gen_q = np.where(slack, 0.0, box)  # reactive shares do not read the loss estimate
     lean = len(reach) == 1 and not dispatch  # no load off the reach; every line on is the root's
 
     def branch_loss(i_k):  # p.u. per row of (..., rows, lines) currents, summed row-major
@@ -399,37 +391,31 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
 
     voltage = np.empty((rows, idx.n_buses), dtype=complex)  # each row set at its stop
     currents = np.zeros((len(reach), rows, len(z)), dtype=complex)  # per root
-    gen_p, gen_q = np.zeros((rows, n_gens)), np.zeros((rows, n_gens))
     s_inj = np.zeros((rows, idx.n_buses), dtype=complex) if dispatch else None
-    losses = np.zeros((len(reach), rows))  # p.u.
     iterations, converged = np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool)
     sweeps = [(root.paths[0], r.T.copy()) for root, r in reach]
-    # The page runs, bus-major, until its slowest row stops; each row's outputs and
-    # per-root currents are taken from the iteration it stops at, and its losses are
-    # summed from those currents after the loop (each iteration if the dispatch reads them).
-    running, loss, v = np.ones(rows, bool), losses.copy(), np.ones_like(s_load)
+    # The page runs, bus-major, until its slowest row stops; each row's outputs and the
+    # per-root currents its losses are summed from are taken at the iteration it stops.
+    running, i_ks, v = np.ones(rows, bool), [], np.ones_like(s_load)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, MAX_ITERATIONS + 1 if rows else 1):  # an empty page runs none
             i_bus = s_load
-            if dispatch:  # proportional shares, refreshed with the loss estimate
-                fp = np.zeros_like(gen_fq)
+            if dispatch:  # real shares, refreshed with the last iteration's losses
+                fp = np.zeros_like(gen_p)
                 for k, (member, demand_kw, p_cap) in enumerate(shares):
-                    f_p = np.minimum(1.0, (demand_kw + loss[k] * s_base) / p_cap)
+                    loss_kw = branch_loss(i_ks[k].T) * s_base if i_ks else 0.0
+                    f_p = np.minimum(1.0, (demand_kw + loss_kw) / p_cap)
                     fp = np.where(member, np.where(p_cap > 0, f_p, 0.0)[:, None], fp)
                 box = np.minimum(np.maximum(idx.gen_p_max * fp, idx.gen_p_min), idx.gen_p_max)
                 p = np.where(slack, 0.0, box)
-                box = np.minimum(np.maximum(idx.gen_q_max * gen_fq, idx.gen_q_min), idx.gen_q_max)
-                q = np.where(slack, 0.0, box)
-                inj = ((p + 1j * q) / s_base) @ idx.gen_at_bus
+                inj = ((p + 1j * gen_q) / s_base) @ idx.gen_at_bus
                 i_bus = s_load - inj.T
             i_bus = np.conj(i_bus if it == 1 else i_bus / v)  # v is all ones at iteration 1
             v_new, i_ks = v, []
-            for k, (p_t, r) in enumerate(sweeps):  # backward, then forward
+            for p_t, r in sweeps:  # backward, then forward
                 i_k = (p_t @ (i_bus if lean else i_bus * r).view(float)).view(complex)
                 v_new = np.where(r, 1.0 - (p_t.T @ (z * i_k).view(float)).view(complex), v_new)
                 i_ks.append(i_k)
-                if dispatch:
-                    loss[k] = branch_loss(i_k.T)
             # A running row's v is finite: only a non-finite max change needs a bus-by-bus check.
             change = np.abs(v_new - v).max(axis=0, initial=0.0)
             done, diverged = change < VOLTAGE_TOLERANCE, running & ~np.isfinite(change)
@@ -444,14 +430,13 @@ def _sweep(idx: _NetworkIndex, closed: np.ndarray) -> _Sweep:
                 for k, i_k in enumerate(i_ks):
                     currents[k, stop] = i_k[:, stop].T
                 if dispatch:
-                    s_inj[stop], gen_p[stop], gen_q[stop] = inj[stop], p[stop], q[stop]
-                    losses[:, stop] = loss[:, stop]
+                    s_inj[stop], gen_p[stop] = inj[stop], p[stop]
                 running &= ~stop
                 if not running.any():
                     break
             v = v_new
         v = v_new = i_bus = i_k = i_ks = None  # released, so the flows reuse their memory
-        losses = losses if dispatch else branch_loss(currents)
+        losses = branch_loss(currents)
         current = currents.sum(axis=0, initial=0)  # added root by root onto 0, as they stop
 
         # Root (slack) injections and sending-end flows from the final sweep.

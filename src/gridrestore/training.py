@@ -30,7 +30,7 @@ from .agent import (
     load_checkpoint,
     save_checkpoint,
 )
-from .environment import RestorationEnv
+from .environment import RestorationEnv, check_penalty
 from .feeder import Feeder
 from .masking import exploit_joint, explore_joint
 
@@ -65,8 +65,7 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be at least {least} and an int, not {value!r}")
         if self.agent_mode not in ("multi", "single"):
             raise ValueError(f"unknown agent_mode {self.agent_mode!r}")
-        if not np.isfinite(self.penalty):
-            raise ValueError(f"penalty must be finite, not {self.penalty}")
+        check_penalty(self.penalty)
         if any(type(h) is not int or h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden layer sizes must be at least 1 and ints, got {self.hidden_sizes}")
 
@@ -105,12 +104,12 @@ class RestorationTrace:
     entries: list[TraceEntry]
     step_states: list[tuple[int, ...]] = field(default_factory=list)
 
+    def _steps(self) -> list[TraceEntry]:
+        """One entry per step: a step's agents share its served kW and violation."""
+        return list({e.step: e for e in self.entries}.values())
+
     def served_series(self) -> list[float]:
-        out: list[float] = []
-        for e in self.entries:
-            if len(out) < e.step:
-                out.append(e.served_kw)
-        return out
+        return [e.served_kw for e in self._steps()]
 
     @property
     def final_served_kw(self) -> float:
@@ -118,10 +117,7 @@ class RestorationTrace:
 
     @property
     def total_violations(self) -> int:
-        seen = {}
-        for e in self.entries:
-            seen[e.step] = e.violation
-        return sum(seen.values())
+        return sum(e.violation for e in self._steps())
 
     def pickup_steps_to_states(self, states, tol: float = 1e-6) -> int | None:
         """Serving-increase steps until a breaker configuration is first hit."""

@@ -149,6 +149,18 @@ def test_max_steps_below_one_is_rejected(ieee13, max_steps):
         execute(zero_nets, ieee13, max_steps=max_steps)
 
 
+@pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf"), "x", True, None,
+                                     -10 ** 400])
+def test_penalty_that_is_not_a_finite_real_number_is_rejected(ieee13, penalty):
+    # A non-finite, non-numeric or bool penalty was returned as a step's reward;
+    # an int past the float range failed inside training's replay ring.
+    message = re.escape(f"penalty must be finite and a real number, not {penalty!r}")
+    with pytest.raises(ValueError, match=message):
+        RestorationEnv(ieee13, reward_mode="penalty", penalty=penalty)
+    for ok in (-2.5, -3, np.float32(-0.5)):
+        assert RestorationEnv(ieee13, reward_mode="penalty", penalty=ok).penalty == ok
+
+
 def test_validate_joint_examples(env13):
     assert env13.validate_joint(NOOP13) is True
     # One 128 kW load alone is feasible.

@@ -558,6 +558,15 @@ def test_served_power_is_bit_identical_to_per_row_sums(n_loads):
     _assert_bits_equal(powerflow._served_power(idx, served), _per_row_sums(feeder, served))
     empty = served[:0]
     _assert_bits_equal(powerflow._served_power(idx, empty), _per_row_sums(feeder, empty))
+    # Row sets with no empty row, in which only some counts occur: every row
+    # with loads, the rows of one count (all loads, and about half of them),
+    # and each such row alone. A sum that skips the smallest count present,
+    # or a block gathered out of C order, fails here.
+    count = served.sum(axis=1)
+    some = served[count > 0]
+    for part in (some, served[count == n_loads], served[count == (n_loads + 1) // 2],
+                 *(some[k:k + 1] for k in range(len(some)))):
+        _assert_bits_equal(powerflow._served_power(idx, part), _per_row_sums(feeder, part))
 
 
 def test_restored_power_needs_no_path_matrix():

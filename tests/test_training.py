@@ -78,7 +78,7 @@ def test_config_rejects_a_count_that_is_not_an_int(name, value):
         TrainingConfig(**{name: value})
 
 
-@pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf"), "x", True])
 def test_config_rejects_a_non_finite_penalty(penalty):
     with pytest.raises(ValueError, match="penalty must be finite"):
         TrainingConfig(penalty=penalty)
@@ -177,6 +177,24 @@ def test_execute_untrained_zero_models_is_deterministic(ieee13):
     assert trace.final_served_kw == 230.0 + 170.0
     again = execute(nets, ieee13, max_steps=5)
     assert again.entries == trace.entries
+
+
+def test_trace_reads_each_step_once_on_a_violating_rollout(ieee13):
+    # Each agent closes its lowest open breaker, then, all closed, opens its
+    # first: steps 3-6 violate. Every agent's entry repeats its step's served
+    # kW and violation, which the trace counts once per step.
+    nets = []
+    for group in ieee13.partition.assignments:
+        n = len(group)
+        weights, biases = np.zeros((2 * n, n)), np.zeros(2 * n)
+        weights[2 * np.arange(n), np.arange(n)] = -10.0  # a closed breaker is not closed again
+        biases[2 * np.arange(n)] = n - np.arange(n)
+        nets.append(QNetwork([weights], [biases]))
+    trace = execute(nets, ieee13, max_steps=6)
+    assert len(trace.entries) == 12 and sum(e.violation for e in trace.entries) == 8
+    assert trace.served_series() == [400.0, 698.0, 2248.0, 2618.0, 3231.0, 3291.0]
+    assert trace.total_violations == 4
+    assert trace.final_served_kw == 3291.0
 
 
 def test_execute_requires_matching_models(ieee13):
