@@ -168,7 +168,7 @@ def _cmd_train(args) -> int:
     (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
     models, logs = train(feeder, cfg)
     write_episodes_csv(out / "episodes.csv", logs)
-    save_models(out, feeder, cfg, models)
+    save_models(out, feeder, models)
     total_violations = sum(log.violations for log in logs)
     print(f"trained {cfg.episodes} episodes; "
           f"final episode reward {logs[-1].reward:.4f}; "
@@ -264,16 +264,11 @@ def _cmd_powerflow(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.feeder in BUILTIN_NAMES:
-        feeder = builtin_feeder(args.feeder)
-        violations = validate_feeder(feeder)
-    else:
-        try:
-            with open(args.feeder, "rb") as fh:
-                feeder = load_feeder(fh)
-            violations = []
-        except (FeederReferenceError, FeederValidationError) as e:
-            violations = getattr(e, "violations", [str(e)])
+    try:
+        feeder = _resolve_feeder(args.feeder)
+        violations = validate_feeder(feeder)  # a document already passed it as it loaded
+    except (FeederReferenceError, FeederValidationError) as e:
+        violations = getattr(e, "violations", [str(e)])
     if violations:
         for v in violations:
             print(v)

@@ -14,7 +14,9 @@ an integer code (bit j is its j-th breaker), are looked up in the island's
 ``powerflow.verdict_lookup``, held from construction, which solves a page of
 codes (the oracle's batch) on a miss. The pages belong to the feeder object,
 shared by every environment on it and freed with it; so in ``compare`` the
-first variant pays the page fills.
+first variant pays the page fills. ``validate_joint`` is a pure query and
+``step`` the only mutator; each looks up its joint's verdict once, from the
+pages, whatever came before.
 
 Two reward modes:
 
@@ -114,9 +116,6 @@ class RestorationEnv:
         for k, (positions, _) in enumerate(self._islands):
             self._place[k, list(positions)] = 1 << np.arange(len(positions))
         self._verdicts = [verdict_lookup(sub) for _, sub in self._islands]
-        # (joint, candidate states, verdict) of the last validate_joint since
-        # the state last changed; a step of that joint reuses them.
-        self._validated: tuple | None = None
         if reward_mode == "masked":
             for (_, sub), verdict in zip(self._islands, self._verdicts):
                 if not verdict(0)[0]:  # code 0: the island all open
@@ -146,7 +145,6 @@ class RestorationEnv:
         returns the observation rows."""
         self._states[:] = 0
         self.step_count = 0
-        self._validated = None
         return self._states[self._slots].astype(np.int8)
 
     def _candidate_states(self, actions) -> np.ndarray:
@@ -170,24 +168,15 @@ class RestorationEnv:
     def validate_joint(self, actions) -> bool:
         """Would this joint action keep every constraint satisfied?
 
-        Shadow evaluation on a copy; the live state is never touched. The
-        verdict is kept, so stepping this joint next does not evaluate it again.
+        Shadow evaluation on a copy; the live state is never touched.
         """
-        joint = tuple(actions)
-        nxt = self._candidate_states(joint)
-        verdict = self._feasibility(nxt[:-1])
-        self._validated = (joint, nxt, verdict)
-        return verdict[0]
+        return self._feasibility(self._candidate_states(actions)[:-1])[0]
 
     def step(self, actions) -> StepResult:
         if self.step_count >= self.max_steps:
             raise EpisodeExhausted(f"episode already ran {self.max_steps} steps; reset() first")
-        last, self._validated = self._validated, None
-        if last is not None and last[0] == tuple(actions):
-            _, nxt, (ok, served, weighted) = last
-        else:
-            nxt = self._candidate_states(actions)
-            ok, served, weighted = self._feasibility(nxt[:-1])
+        nxt = self._candidate_states(actions)
+        ok, served, weighted = self._feasibility(nxt[:-1])
         if self.reward_mode == "masked" and not ok:
             raise InvalidJointAction("masked-mode step of a constraint-violating joint action")
         if ok:

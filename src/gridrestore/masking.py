@@ -55,7 +55,7 @@ def exploit_joint(
     """
     n_agents = len(q_vectors)
     originals = [np.asarray(q, dtype=float) for q in q_vectors]
-    working = list(originals)  # an agent's vector is copied at its first demotion
+    working = [q.copy() for q in originals]
     joint = [int(np.argmax(q)) for q in originals]  # ties break to the lowest index
     forced = [False] * n_agents
 
@@ -69,8 +69,6 @@ def exploit_joint(
             # current state; an invalid verdict here means the oracle is broken.
             break
         j = live[int(rng.integers(len(live)))]
-        if working[j] is originals[j]:
-            working[j] = originals[j].copy()
         working[j][joint[j]] = -np.inf
         if np.all(np.isneginf(working[j])):
             # Exhausted its whole action set: force the open no-op with the

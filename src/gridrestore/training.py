@@ -264,12 +264,15 @@ def execute(
 def convergence_episode(
     rewards, window: int = 50, fraction: float = 0.95
 ) -> int | None:
-    """First episode whose forward ``window``-mean reaches ``fraction`` of the
-    run's maximum episode reward; None when the run never settles."""
+    """First episode whose forward ``window``-mean comes within
+    ``1 - fraction`` of the run's best episode reward, as a share of its
+    magnitude (``fraction * best``, or ``best - (1 - fraction) * |best|`` when
+    the best is negative); None when the run never settles."""
     r = np.asarray(list(rewards), dtype=float)
     if len(r) < window or len(r) == 0:
         return None
-    target = fraction * r.max()
+    best = r.max()
+    target = fraction * best if best >= 0 else best - (1 - fraction) * abs(best)
     sums = np.convolve(r, np.ones(window), mode="valid") / window
     hits = np.flatnonzero(sums >= target)
     return int(hits[0]) if len(hits) else None
@@ -329,16 +332,18 @@ def write_comparison_csv(path, rows: list[dict]) -> None:
     _write_csv(path, COMPARISON_HEADER, ([row[c] for c in COMPARISON_HEADER] for row in rows))
 
 
-def save_models(out_dir, feeder: Feeder, cfg: TrainingConfig, models) -> list[str]:
-    """One checkpoint file per agent, carrying its partition binding."""
+def save_models(out_dir, feeder: Feeder, models) -> list[str]:
+    """One checkpoint file per agent, carrying its partition binding, read
+    from the models' shapes as ``execute`` reads it; models that match no
+    partition of the feeder raise before any file is written."""
+    nets = [m.main if isinstance(m, AgentPair) else m for m in models]
+    slots = _slots_for_models(feeder, nets)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    slots = agent_slots(feeder, cfg.agent_mode)
     paths = []
-    for i, (pair, group) in enumerate(zip(models, slots)):
+    for i, (net, group) in enumerate(zip(nets, slots)):
         breaker_ids = [feeder.breakers[g].id for g in group]
         path = out / f"checkpoint_agent{i}.json"
-        net = pair.main if isinstance(pair, AgentPair) else pair
         save_checkpoint(path, i, breaker_ids, net)
         paths.append(str(path))
     return paths

@@ -317,6 +317,12 @@ def test_validate_broken_document(capsys, tmp_path, ieee13):
     assert "uncovered breaker" in stdout
 
 
+def test_validate_names_a_feeder_that_is_neither_built_in_nor_a_file(capsys, tmp_path):
+    code, stdout, err = run(capsys, "validate", "--feeder", str(tmp_path / "missing.json"))
+    _fails_with_one_error_line(code, err, "not a built-in", "and no such file")
+    assert stdout == ""
+
+
 def test_compare_cli(capsys, tmp_path):
     masked = tmp_path / "masked.json"
     masked.write_text(json.dumps({"episodes": 3, "steps": 4, "mask": "on"}))

@@ -368,40 +368,31 @@ def count_evaluations(monkeypatch, env):
     return calls
 
 
-def test_step_reuses_the_verdict_of_the_joint_just_validated(monkeypatch, env13):
-    calls = count_evaluations(monkeypatch, env13)
-    a = joint(close(2), close(0))
-    assert env13.validate_joint(list(a))
-    result = env13.step(a)
-    assert len(calls) == 1  # the step took the validated verdict
-    assert (result.served_kw, result.constraints_ok) == (570.0, True)
-    assert env13.breaker_states == (0, 0, 1, 0, 1, 0, 0, 0, 0)
-    assert result.observations.tolist() == [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0]]
-    # The verdict is dropped after a step: the same joint again is evaluated.
-    env13.step(a)
-    assert len(calls) == 2
-
-
-def test_step_evaluates_a_joint_other_than_the_validated_one(monkeypatch, env13):
-    calls = count_evaluations(monkeypatch, env13)
+@pytest.mark.parametrize("mode", ["masked", "penalty"])
+def test_validate_and_step_each_evaluate_their_joint_once(monkeypatch, ieee13, mode):
+    # Validation is a pure query: a step looks its joint up again whatever was
+    # validated before it (that joint, another one, or one before a reset).
+    env = RestorationEnv(ieee13, reward_mode=mode)
+    env.reset()
+    calls = count_evaluations(monkeypatch, env)
     a, b = joint(close(2), close(0)), joint(close(1), 1)
-    assert env13.validate_joint(a)
-    result = env13.step(b)
-    assert calls == [(0, 0, 1, 0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0)]
-    assert env13.breaker_states == calls[-1]
-    assert result.served_kw == 170.0
-
-
-def test_reset_drops_the_validated_verdict(monkeypatch, env13):
-    calls = count_evaluations(monkeypatch, env13)
-    env13.step(joint(close(2), 1))
-    a = joint(close(1), 1)
-    assert env13.validate_joint(a)  # from a state with breaker 2 closed
-    env13.reset()
-    result = env13.step(a)
-    assert len(calls) == 3
-    assert env13.breaker_states == (0, 1, 0, 0, 0, 0, 0, 0, 0)
-    assert result.served_kw == 170.0
+    ops = [("validate_joint", a), ("step", a), ("step", a), ("validate_joint", a), ("step", b),
+           ("validate_joint", b), ("reset", None), ("validate_joint", b), ("validate_joint", a),
+           ("step", b)]
+    for n, (op, actions) in enumerate(ops):
+        before = len(calls)
+        if op == "reset":
+            env.reset()
+            assert len(calls) == before
+            continue
+        result = getattr(env, op)(actions)
+        assert len(calls) == before + 1, (n, op)
+        if op == "step":
+            assert calls[-1] == env.breaker_states
+    assert calls[:2] == [(0, 0, 1, 0, 1, 0, 0, 0, 0)] * 2
+    assert env.breaker_states == (0, 1, 0, 0, 0, 0, 0, 0, 0)
+    assert (result.served_kw, result.constraints_ok) == (170.0, True)
+    assert env.violation_count == 0
 
 
 def test_validated_invalid_joint_still_raises_in_masked_mode(monkeypatch, ieee13):
@@ -414,7 +405,7 @@ def test_validated_invalid_joint_still_raises_in_masked_mode(monkeypatch, ieee13
     assert env.validate_joint(bad) is False
     with pytest.raises(InvalidJointAction):
         env.step(bad)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert env.breaker_states[2] == 0
 
 

@@ -210,6 +210,11 @@ def test_convergence_episode_on_synthetic_series():
     e = convergence_episode(ramp, window=50)
     assert e is not None and 150 < e <= 210
     assert convergence_episode([1.0] * 10, window=50) is None
+    # A run whose best episode is negative settles within 5% of its magnitude.
+    assert convergence_episode([-1.0] * 100, window=50) == 0
+    rising = list(np.linspace(-10, -1, 200)) + [-1.0] * 60
+    e = convergence_episode(rising, window=50)
+    assert e is not None and 150 < e <= 210
 
 
 def test_episodes_csv_schema(tmp_path, ieee13):
@@ -240,12 +245,25 @@ def test_trace_csv_schema(tmp_path, ieee13):
 def test_checkpoint_round_trip_through_execute(tmp_path, ieee13):
     cfg = quick_cfg(seed=6, episodes=4)
     models, _ = train(ieee13, cfg)
-    save_models(tmp_path, ieee13, cfg, models)
+    save_models(tmp_path, ieee13, models)
     nets, slots = load_models(tmp_path, ieee13)
     assert slots == agent_slots(ieee13, "multi")
     direct = execute(models, ieee13, max_steps=4)
     loaded = execute(nets, ieee13, max_steps=4, slots=slots)
     assert direct.entries == loaded.entries
+
+
+def test_save_models_binds_each_checkpoint_by_its_models(tmp_path, ieee13):
+    # The binding is read from the models' shapes, as ``execute`` reads it;
+    # models that match no partition of the feeder write no file.
+    trained = {mode: train(ieee13, quick_cfg(seed=6, episodes=2, agent_mode=mode))[0]
+               for mode in ("multi", "single")}
+    for mode, models in trained.items():
+        assert len(save_models(tmp_path / mode, ieee13, models)) == len(models)
+        assert load_models(tmp_path / mode, ieee13)[1] == agent_slots(ieee13, mode)
+    with pytest.raises(ValueError, match="do not match the feeder's partition"):
+        save_models(tmp_path / "agent1", ieee13, trained["multi"][1:])
+    assert not (tmp_path / "agent1").exists()
 
 
 # fault: (where in agent 1's checkpoint, the value put there, expected message);
@@ -268,7 +286,7 @@ CHECKPOINT_FAULTS = {
 def test_load_models_rejects_a_bad_checkpoint_by_name(tmp_path, ieee13, fault):
     cfg = quick_cfg(seed=6, episodes=2)
     models, _ = train(ieee13, cfg)
-    save_models(tmp_path, ieee13, cfg, models)
+    save_models(tmp_path, ieee13, models)
     path = tmp_path / "checkpoint_agent1.json"
     keys, value, message = CHECKPOINT_FAULTS[fault]
     doc = json.loads(path.read_text())
@@ -337,7 +355,7 @@ def test_golden_fingerprint_of_training_and_execution(tmp_path, ieee13, ieee123)
         write_episodes_csv(out / "episodes.csv", logs)
         write_trace_csv(out / "trace.csv", execute(models, feeder, max_steps=steps))
         checkpoints = hashlib.sha256()
-        for path in save_models(out, feeder, cfg, models):
+        for path in save_models(out, feeder, models):
             checkpoints.update(Path(path).read_bytes())
         digests[name] = (
             hashlib.sha256((out / "episodes.csv").read_bytes()).hexdigest(),
