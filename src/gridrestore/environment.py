@@ -9,14 +9,14 @@ over total rated load). The observations are one ``(agents, widest)`` int8
 array: row i holds agent i's breaker bits in partition order, zero-padded to
 the widest agent, the layout of the learner's replay ring.
 Verdicts are solved and memoized per island (see ``powerflow.islands``): a
-state is feasible when every island's sub-state is. An island's bits, read as
-an integer code (bit j is its j-th breaker), are looked up in the island's
-``powerflow.verdict_lookup``, held from construction, which solves a page of
-codes (the oracle's batch) on a miss. The pages belong to the feeder object,
+state is feasible when every island's sub-state is. Each island's bits, an
+integer code (bit j is its j-th breaker), are kept across steps and moved by
+Python int operations; a code is looked up in the island's shared verdict
+mapping, ``powerflow.verdict_lookup``, where a page of codes (the oracle's
+batch) is solved only on a miss. The mappings belong to the feeder object,
 shared by every environment on it and freed with it; so in ``compare`` the
 first variant pays the page fills. ``validate_joint`` is a pure query and
-``step`` the only mutator; each looks up its joint's verdict once, from the
-pages, whatever came before.
+``step`` the only mutator; each looks up its joint's codes once.
 
 Two reward modes:
 
@@ -99,9 +99,8 @@ class RestorationEnv:
         covered = [i for grp in self.agent_breakers for i in grp]
         if sorted(covered) != list(range(feeder.n_breakers)):
             raise ValueError("agent breaker groups must partition all breakers")
-        # The breaker states and one trailing 0 that padded observation slots
-        # read; int64 as _place, so a lookup does not cast.
-        self._states = np.zeros(feeder.n_breakers + 1, dtype=np.int64)
+        # The breaker states and one trailing 0 that padded observation slots read.
+        self._states = np.zeros(feeder.n_breakers + 1, dtype=np.int8)
         width = max(map(len, self.agent_breakers), default=0)
         self._slots = np.full((self.n_agents, width), feeder.n_breakers, dtype=np.intp)
         for i, grp in enumerate(self.agent_breakers):
@@ -110,15 +109,14 @@ class RestorationEnv:
         self.violation_count = 0
         self._denominator = feeder.total_load_kw()
         self._islands = islands(feeder)
-        # Row k of _place holds island k's place values (bit j is its j-th
-        # breaker), so _place @ states reads every island's bits as an integer.
-        self._place = np.zeros((len(self._islands), feeder.n_breakers), dtype=np.int64)
-        for k, (positions, _) in enumerate(self._islands):
-            self._place[k, list(positions)] = 1 << np.arange(len(positions))
+        self._codes = [0] * len(self._islands)  # island k's bits, bit j its j-th breaker
+        at = {b: (k, 1 << j) for k, (pos, _) in enumerate(self._islands) for j, b in enumerate(pos)}
+        # Per agent and action: (breaker, its island, its bit there, new breaker state).
+        self._moves = [[(b, *at[b], on) for b in g for on in (1, 0)] for g in self.agent_breakers]
         self._verdicts = [verdict_lookup(sub) for _, sub in self._islands]
         if reward_mode == "masked":
             for (_, sub), verdict in zip(self._islands, self._verdicts):
-                if not verdict(0)[0]:  # code 0: the island all open
+                if not verdict[0][0]:  # code 0: the island all open
                     raise ValueError(
                         f"the island of generators {', '.join(g.id for g in sub.generators)} "
                         "violates a constraint with all breakers open; masked mode needs "
@@ -144,39 +142,43 @@ class RestorationEnv:
         """All breakers open (the post-outage state), step counter cleared;
         returns the observation rows."""
         self._states[:] = 0
+        self._codes = [0] * len(self._islands)
         self.step_count = 0
-        return self._states[self._slots].astype(np.int8)
+        return self._states[self._slots]
 
-    def _candidate_states(self, actions) -> np.ndarray:
+    def _codes_after(self, actions) -> list[int]:
+        """Every island's code once the joint's moves are applied."""
         if len(actions) != self.n_agents:
             raise ValueError(f"joint action has {len(actions)} entries for {self.n_agents} agents")
-        nxt = self._states.copy()
-        for agent, (group, a) in enumerate(zip(self.agent_breakers, actions)):
-            if not 0 <= a < 2 * len(group):
+        codes = self._codes.copy()
+        for agent, (moves, a) in enumerate(zip(self._moves, actions)):
+            if not 0 <= a < len(moves):
                 raise ValueError(f"action index {a} out of range for agent {agent}")
-            nxt[group[a >> 1]] = 1 - (a & 1)
-        return nxt
+            _, k, bit, on = moves[a]
+            codes[k] = codes[k] | bit if on else codes[k] & ~bit
+        return codes
 
-    def _feasibility(self, states: np.ndarray) -> tuple[bool, float, float]:
+    def _feasibility(self, codes) -> tuple[bool, float, float]:
         """The AND of the island verdicts and the sums of their served power."""
         ok, served, weighted = True, 0.0, 0.0
-        for verdict, code in zip(self._verdicts, self._place.dot(states).tolist()):
-            f, s, w = verdict(code)
+        for verdict, code in zip(self._verdicts, codes):
+            f, s, w = verdict[code]
             ok, served, weighted = ok and f, served + s, weighted + w
         return ok, served, weighted
 
     def validate_joint(self, actions) -> bool:
         """Would this joint action keep every constraint satisfied?
 
-        Shadow evaluation on a copy; the live state is never touched.
+        The joint's island codes are looked up in the shared verdict mappings,
+        which solve a page only on a miss; the live state is never touched.
         """
-        return self._feasibility(self._candidate_states(actions)[:-1])[0]
+        return self._feasibility(self._codes_after(actions))[0]
 
     def step(self, actions) -> StepResult:
         if self.step_count >= self.max_steps:
             raise EpisodeExhausted(f"episode already ran {self.max_steps} steps; reset() first")
-        nxt = self._candidate_states(actions)
-        ok, served, weighted = self._feasibility(nxt[:-1])
+        codes = self._codes_after(actions)
+        ok, served, weighted = self._feasibility(codes)
         if self.reward_mode == "masked" and not ok:
             raise InvalidJointAction("masked-mode step of a constraint-violating joint action")
         if ok:
@@ -184,10 +186,13 @@ class RestorationEnv:
         else:
             self.violation_count += 1
             reward = self.penalty
-        self._states = nxt
+        for moves, a in zip(self._moves, actions):
+            b, _, _, on = moves[a]
+            self._states[b] = on
+        self._codes = codes
         self.step_count += 1
         return StepResult(
-            observations=nxt[self._slots].astype(np.int8),
+            observations=self._states[self._slots],
             reward=reward,
             served_kw=served,
             weighted_kw=weighted,

@@ -2,10 +2,12 @@
 
 A joint action is a tuple of per-agent action indices (2k closes the agent's
 breaker k, 2k+1 opens it). Exploration resamples the entire joint action until
-the environment's shadow power flow accepts it. Exploitation starts from every
-agent's greedy proposal; while the joint is invalid, one uniformly random agent
-pins its current best action value to -inf and reselects. Demotions never
-persist across environment steps: each call starts from a fresh mask state.
+the environment accepts it: ``validate_joint`` looks each island's code up in
+the shared verdict mapping, solving a page only on a miss. Exploitation starts
+from every agent's greedy proposal; while the joint is invalid, one uniformly
+random agent pins its current best action value to -inf and reselects.
+Demotions never persist across environment steps: each call starts from a
+fresh mask state.
 
 Both procedures only ever return joint actions that pass the validity oracle,
 which is what keeps masked training at zero constraint violations. Masked

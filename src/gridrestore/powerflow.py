@@ -227,6 +227,7 @@ class _NetworkIndex:
         # Codes per verdict page, fixed here: a later budget reaches new feeders only.
         self.page_rows = max(1, _BATCH_CELLS // max(1, self.n_buses))
         self.pages: dict[int, BatchVerdicts] = {}
+        self.verdicts = _Verdicts(feeder)
 
     def tree(self, start: int) -> list[tuple[int, int, int]]:
         """(bus, line into it, parent bus) over all lines from ``start``, breadth first."""
@@ -505,19 +506,27 @@ def page_states(feeder: Feeder, page: int) -> np.ndarray:
     return (codes[:, None] >> np.arange(n)) & 1
 
 
-def verdict_lookup(feeder: Feeder):
-    """``code -> (feasible, served kW, weighted kW)`` as Python values, bit j of
-    ``code`` being breaker j, read from the memo every lookup on the feeder
-    object shares: ``solve_batch``'s arrays per ``page_states`` page, solved on a miss."""
-    idx = _network_index(feeder)
-    pages, rows = idx.pages, idx.page_rows
+class _Verdicts(dict):
+    """``code -> (feasible, served kW, weighted kW)`` as Python values; a missing
+    code is read from its page (``solve_batch``'s arrays), solved if not yet held."""
 
-    def verdict(code: int) -> tuple[bool, float, float]:
-        page, row = divmod(code, rows)
-        v = pages.get(page) or pages.setdefault(page, solve_batch(feeder, page_states(feeder, page)))
-        return v.feasible.item(row), v.served_kw.item(row), v.weighted_kw.item(row)
+    def __init__(self, feeder: Feeder):
+        self.feeder = weakref.ref(feeder)  # the index holds this: no cycle keeps the feeder
 
-    return verdict
+    def __missing__(self, code: int) -> tuple[bool, float, float]:
+        feeder = self.feeder()
+        idx = _network_index(feeder)
+        page, row = divmod(code, idx.page_rows)
+        if (v := idx.pages.get(page)) is None:
+            v = idx.pages[page] = solve_batch(feeder, page_states(feeder, page))
+        out = self[code] = v.feasible.item(row), v.served_kw.item(row), v.weighted_kw.item(row)
+        return out
+
+
+def verdict_lookup(feeder: Feeder) -> _Verdicts:
+    """The ``code -> (feasible, served kW, weighted kW)`` mapping (bit j of a code
+    is breaker j) that every lookup on the feeder object shares: a hit is one dict read."""
+    return _network_index(feeder).verdicts
 
 
 def solve(feeder: Feeder, states) -> PowerFlowSolution:

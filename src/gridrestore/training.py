@@ -335,7 +335,8 @@ def write_comparison_csv(path, rows: list[dict]) -> None:
 def save_models(out_dir, feeder: Feeder, models) -> list[str]:
     """One checkpoint file per agent, carrying its partition binding, read
     from the models' shapes as ``execute`` reads it; models that match no
-    partition of the feeder raise before any file is written."""
+    partition of the feeder raise before any file is written. Checkpoint
+    files of an earlier save with more agents are removed."""
     nets = [m.main if isinstance(m, AgentPair) else m for m in models]
     slots = _slots_for_models(feeder, nets)
     out = Path(out_dir)
@@ -346,6 +347,9 @@ def save_models(out_dir, feeder: Feeder, models) -> list[str]:
         path = out / f"checkpoint_agent{i}.json"
         save_checkpoint(path, i, breaker_ids, net)
         paths.append(str(path))
+    for stale in out.glob("checkpoint_agent*.json"):
+        if str(stale) not in paths:
+            stale.unlink()
     return paths
 
 

@@ -8,8 +8,10 @@ backprop and SGD update. They exist so the production implementations can be
 checked against independently written logic.
 
 It also holds ``train_in_workers``, which the acceptance fixtures use to run
-independent seeded trainings in parallel processes, and ``verdict_pages`` and
-``digest``, the page loop and the hash the solver's pinned digests share.
+independent seeded trainings in parallel processes; ``verdict_pages`` and
+``digest``, the page loop and the hash the solver's pinned digests share; and
+``candidate_states``, ``island_codes`` and ``state_verdict``, the evaluation of
+a whole breaker-state vector that the environment's island codes must match.
 """
 
 from __future__ import annotations
@@ -279,6 +281,36 @@ def verdict_pages(feeder: Feeder):
         while len(states := page_states(sub, page)):
             yield sub, states, solve_batch(sub, states)
             page += 1
+
+
+def island_codes(feeder: Feeder, states) -> list[int]:
+    """Each island's code of a whole breaker-state vector, by a place-value
+    product: row k of ``place`` holds island k's place values (bit j is its
+    j-th breaker), so ``place @ states`` reads every island's bits as an integer."""
+    subs = islands(feeder)
+    place = np.zeros((len(subs), feeder.n_breakers), dtype=np.int64)
+    for k, (positions, _) in enumerate(subs):
+        place[k, list(positions)] = 1 << np.arange(len(positions))
+    return place.dot(np.asarray(states, dtype=np.int64)).tolist()
+
+
+def candidate_states(env, actions) -> np.ndarray:
+    """The breaker states ``env`` would reach by ``actions``: each agent's
+    toggle written into a copy of its breaker-state vector."""
+    if len(actions) != env.n_agents:
+        raise ValueError(f"joint action has {len(actions)} entries for {env.n_agents} agents")
+    nxt = np.array(env.breaker_states, dtype=np.int64)
+    for agent, (group, a) in enumerate(zip(env.agent_breakers, actions)):
+        if not 0 <= a < 2 * len(group):
+            raise ValueError(f"action index {a} out of range for agent {agent}")
+        nxt[group[a >> 1]] = 1 - (a & 1)
+    return nxt
+
+
+def state_verdict(env, states) -> tuple[bool, float, float]:
+    """``env``'s (feasible, served kW, weighted kW) of a whole breaker-state
+    vector, its island codes read by ``island_codes``."""
+    return env._feasibility(island_codes(env.feeder, states))
 
 
 def digest(arrays) -> str:

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridrestore import (
     Breaker,
@@ -30,7 +32,14 @@ from gridrestore import (
     train,
 )
 from gridrestore import oracle, powerflow
-from reference import joined_islands, random_multi_generator_feeder, random_radial_feeder
+from reference import (
+    candidate_states,
+    island_codes,
+    joined_islands,
+    random_multi_generator_feeder,
+    random_radial_feeder,
+    state_verdict,
+)
 
 DEFAULT_CELLS = powerflow._BATCH_CELLS
 DEFAULT_ROWS_123 = [91, 163, 240, 256, 204]  # ieee123 islands of 45, 25, 17, 16 and 20 buses
@@ -356,13 +365,13 @@ def test_a_valid_joint_action_always_exists(ieee13):
 
 
 def count_evaluations(monkeypatch, env):
-    """Record the candidate states of every verdict lookup ``env`` makes."""
+    """Record the island codes of every verdict lookup ``env`` makes."""
     calls = []
     inner = env._feasibility
 
-    def counting(states):
-        calls.append(tuple(states.tolist()))
-        return inner(states)
+    def counting(codes):
+        calls.append(list(codes))
+        return inner(codes)
 
     monkeypatch.setattr(env, "_feasibility", counting)
     return calls
@@ -388,8 +397,8 @@ def test_validate_and_step_each_evaluate_their_joint_once(monkeypatch, ieee13, m
         result = getattr(env, op)(actions)
         assert len(calls) == before + 1, (n, op)
         if op == "step":
-            assert calls[-1] == env.breaker_states
-    assert calls[:2] == [(0, 0, 1, 0, 1, 0, 0, 0, 0)] * 2
+            assert calls[-1] == island_codes(ieee13, env.breaker_states)
+    assert calls[:2] == [island_codes(ieee13, (0, 0, 1, 0, 1, 0, 0, 0, 0))] * 2
     assert env.breaker_states == (0, 1, 0, 0, 0, 0, 0, 0, 0)
     assert (result.served_kw, result.constraints_ok) == (170.0, True)
     assert env.violation_count == 0
@@ -435,6 +444,59 @@ def test_penalty_steps_are_the_same_with_and_without_validation(monkeypatch, req
     assert checked.violation_count == plain.violation_count > 0
 
 
+FEEDER_KINDS = {
+    "radial": random_radial_feeder,
+    "multi-generator": random_multi_generator_feeder,
+    "joined": joined_islands,
+    "joined-multi-generator": lambda rng: joined_islands(rng, random_multi_generator_feeder),
+}
+
+
+def observation_rows(env, states):
+    """Each agent's breaker bits of ``states`` in partition order, zero-padded."""
+    width = max(map(len, env.agent_breakers))
+    return np.array([[states[b] for b in g] + [0] * (width - len(g)) for g in env.agent_breakers],
+                    dtype=np.int8)
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(kind=st.sampled_from(sorted(FEEDER_KINDS)), seed=st.integers(0, 2 ** 32 - 1),
+       single=st.booleans(), masked=st.booleans(), data=st.data())
+def test_island_codes_match_the_whole_state_evaluation(kind, seed, single, masked, data):
+    # Generated feeders under their own partition or one agent owning every
+    # breaker: along a walk of steps and resets, each validated joint and
+    # each step reads, bit for bit, what the whole breaker-state vector of
+    # the joint's candidate state evaluates to through its island codes.
+    feeder = FEEDER_KINDS[kind](np.random.default_rng(seed))
+    groups = [tuple(range(feeder.n_breakers))] if single else None
+    all_open = state_verdict(RestorationEnv(feeder, reward_mode="penalty"),
+                             np.zeros(feeder.n_breakers, dtype=np.int8))
+    masked = masked and all_open[0]  # masked mode refuses an infeasible all-open state
+    env = RestorationEnv(feeder, reward_mode="masked" if masked else "penalty", max_steps=100,
+                         agent_breakers=groups)
+    joints = st.tuples(*(st.integers(0, n - 1) for n in env.action_space_sizes()))
+    assert state_verdict(env, np.array(env.breaker_states)) == all_open
+    for probe, move, reset in data.draw(st.lists(
+            st.tuples(joints, joints, st.integers(0, 7)), min_size=1, max_size=12)):
+        if not reset:
+            assert np.array_equal(env.reset(), observation_rows(env, env.breaker_states))
+        for a in (probe, move):
+            assert env.validate_joint(a) is state_verdict(env, candidate_states(env, a))[0]
+        nxt = candidate_states(env, move)
+        want = state_verdict(env, nxt)
+        if masked and not want[0]:
+            before = env.breaker_states
+            with pytest.raises(InvalidJointAction):
+                env.step(move)
+            assert env.breaker_states == before
+            continue
+        got = env.step(move)
+        assert (got.constraints_ok, got.served_kw, got.weighted_kw) == want
+        assert got.observations.dtype == np.int8
+        assert np.array_equal(got.observations, observation_rows(env, nxt))
+        assert env.breaker_states == tuple(nxt.tolist())
+
+
 def whole_feeder_verdict(feeder, states):
     solution = solve(feeder, states)
     report = check_constraints(feeder, solution)
@@ -457,12 +519,12 @@ def test_island_verdicts_equal_whole_feeder_solves(monkeypatch, ieee13, ieee123)
     env = RestorationEnv(ieee13)
     for bits in itertools.product((0, 1), repeat=9):
         states = np.array(bits, dtype=np.int8)
-        assert env._feasibility(states) == whole_feeder_verdict(ieee13, states)
+        assert state_verdict(env, states) == whole_feeder_verdict(ieee13, states)
     env = RestorationEnv(ieee123)
     rng = np.random.default_rng(47)
     for _ in range(1000):
         states = rng.integers(0, 2, 26).astype(np.int8)
-        assert env._feasibility(states) == whole_feeder_verdict(ieee123, states)
+        assert state_verdict(env, states) == whole_feeder_verdict(ieee123, states)
     # Seeded multi-island feeders: breakers interleaved across islands, one
     # agent spanning two, split multi-generator islands, p_min > 0, and
     # fractional kW. Budgets of 1 and 12 cells give one-row and 2- to 4-row
@@ -486,7 +548,7 @@ def test_island_verdicts_equal_whole_feeder_solves(monkeypatch, ieee13, ieee123)
                 env = RestorationEnv(dataclasses.replace(feeder), reward_mode="penalty")
                 assert page_rows(env.feeder) == [max(1, cells // len(sub.buses))
                                                  for _, sub in islands(feeder)]
-                assert [env._feasibility(states) for states in all_states] == expected
+                assert [state_verdict(env, states) for states in all_states] == expected
                 assert_pages_are_whole(env.feeder)
 
 
@@ -502,7 +564,7 @@ def test_page_size_does_not_change_verdicts_or_training(monkeypatch, fresh_feede
         monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
         feeder = fresh_feeder("ieee123")
         env = RestorationEnv(feeder)
-        verdicts = [env._feasibility(s) for s in states]
+        verdicts = [state_verdict(env, s) for s in states]
         models, logs = train(feeder, cfg)
         outcomes.append((verdicts, logs, weight_bytes(models)))
         rows.append(page_rows(feeder))
@@ -552,10 +614,10 @@ def test_environments_on_one_feeder_object_share_its_pages(monkeypatch, fresh_fe
     mode = "masked" if masking else "penalty"
     states = np.random.default_rng(5).integers(0, 2, (100, 26)).astype(np.int8)
     first_env = RestorationEnv(feeder, reward_mode=mode)
-    visited = [first_env._feasibility(s) for s in states]
+    visited = [state_verdict(first_env, s) for s in states]
     fills.clear()
     env = RestorationEnv(feeder, reward_mode=mode)
-    assert [env._feasibility(s) for s in states] == visited
+    assert [state_verdict(env, s) for s in states] == visited
     assert fills == []
     models, logs = train(fresh_feeder("ieee123"), cfg)
     assert (logs, weight_bytes(models)) == first
@@ -569,14 +631,14 @@ def test_masked_env_requires_feasible_all_open(monkeypatch, fresh_feeder):
     base = fresh_feeder("ieee13")
     all_states = [np.array(bits, dtype=np.int8) for bits in itertools.product((0, 1), repeat=9)]
     env = RestorationEnv(base)
-    warm = [env._feasibility(s) for s in all_states]
+    warm = [state_verdict(env, s) for s in all_states]
     g1 = dataclasses.replace(base.generators[0], p_min=50.0)
     feeder = dataclasses.replace(base, generators=(g1, *base.generators[1:]))
     fills = count_page_fills(monkeypatch)
     with pytest.raises(ValueError, match="g1"):
         RestorationEnv(feeder)
     env = RestorationEnv(feeder, reward_mode="penalty")
-    verdicts = [env._feasibility(s) for s in all_states]
+    verdicts = [state_verdict(env, s) for s in all_states]
     assert fills and {id(f) for f, *_ in fills} <= {id(i.feeder) for i in islands(feeder)}
     assert verdicts == [whole_feeder_verdict(feeder, s) for s in all_states] != warm
     fills.clear()
@@ -602,14 +664,14 @@ def test_pages_of_different_sizes_never_mix(monkeypatch, fresh_feeder):
         fills.clear()
         feeder = fresh_feeder("ieee123")
         env = RestorationEnv(feeder)
-        outcomes.append([env._feasibility(s) for s in states])
+        outcomes.append([state_verdict(env, s) for s in states])
         assert page_rows(feeder) == rows
         subs = [sub for _, sub in islands(feeder)]
         assert fills and all(any(f is sub for sub in subs) for f, *_ in fills)
         feeders.append(feeder)
     fills.clear()
     env = RestorationEnv(feeders[0])
-    outcomes.append([env._feasibility(s) for s in states])
+    outcomes.append([state_verdict(env, s) for s in states])
     assert fills == []
     assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
     for feeder in feeders:
@@ -625,21 +687,21 @@ def test_an_environment_keeps_its_page_rows_when_the_budget_changes(monkeypatch,
     # budget and reads the same verdicts.
     states = np.random.default_rng(67).integers(0, 2, (300, 26)).astype(np.int8)
     warm = RestorationEnv(fresh_feeder("ieee123"))
-    expected = [warm._feasibility(s) for s in states]
+    expected = [state_verdict(warm, s) for s in states]
     cold = RestorationEnv(fresh_feeder("ieee123"), reward_mode="penalty")
     fills = count_page_fills(monkeypatch)
     feeders = [warm.feeder, cold.feeder]
     for cells, rows in ((7 * 45, [7, 12, 18, 19, 15]), (1, [1] * 5)):
         monkeypatch.setattr(powerflow, "_BATCH_CELLS", cells)
         fills.clear()
-        assert [RestorationEnv(warm.feeder)._feasibility(s) for s in states] == expected
+        assert [state_verdict(RestorationEnv(warm.feeder), s) for s in states] == expected
         assert fills == []  # the warm feeder's pages serve a new environment too
-        assert [cold._feasibility(s) for s in states] == expected
+        assert [state_verdict(cold, s) for s in states] == expected
         assert page_rows(warm.feeder) == page_rows(cold.feeder) == DEFAULT_ROWS_123
         for feeder in (fresh_feeder("ieee123"), dataclasses.replace(warm.feeder)):
             fills.clear()
             env = RestorationEnv(feeder, reward_mode="penalty")
-            assert [env._feasibility(s) for s in states] == expected
+            assert [state_verdict(env, s) for s in states] == expected
             assert page_rows(feeder) == rows
             assert fills
             feeders.append(feeder)
@@ -663,7 +725,7 @@ def test_oracle_solves_the_pages_an_environment_fills(monkeypatch, fresh_feeder)
         for positions, _ in islands(feeder):
             sub_code = code % 2 ** len(positions)
             states[list(positions)] = (sub_code >> np.arange(len(positions))) & 1
-        env._feasibility(states)
+        state_verdict(env, states)
     solved, filled = (sorted((index[id(f)], first, n) for f, first, n in calls)
                       for calls in (batches, fills))
     assert solved == filled
@@ -673,8 +735,8 @@ def test_oracle_solves_the_pages_an_environment_fills(monkeypatch, fresh_feeder)
 
 
 def test_a_page_is_the_solver_arrays_and_a_step_reads_python_values(fresh_feeder):
-    # The memo keeps what solve_batch returned for a page; the environment
-    # converts one row at the read, so its results carry no numpy scalars.
+    # The memo keeps what solve_batch returned for a page; the verdict mapping
+    # converts one row at its first read, so results carry no numpy scalars.
     feeder = fresh_feeder("ieee123")
     env = RestorationEnv(feeder)
     env.reset()
@@ -684,7 +746,9 @@ def test_a_page_is_the_solver_arrays_and_a_step_reads_python_values(fresh_feeder
     for value in (result.reward, result.served_kw, result.weighted_kw):
         assert type(value) is float
     assert type(result.constraints_ok) is bool
-    for _, sub in env._islands:
+    for (_, sub), verdict in zip(env._islands, env._verdicts):
+        # The island's one code -> verdict mapping, holding the one code read.
+        assert verdict is powerflow.verdict_lookup(sub) and list(verdict) == [0]
         pages = powerflow._network_index(sub).pages
         assert list(pages) == [0]
         page = pages[0]
@@ -732,7 +796,7 @@ def test_generator_only_island_counts_in_every_verdict():
     env = RestorationEnv(feeder, reward_mode="penalty")
     for bits in ((0,), (1,)):
         states = np.array(bits, dtype=np.int8)
-        verdict = env._feasibility(states)
+        verdict = state_verdict(env, states)
         assert verdict == whole_feeder_verdict(feeder, states)
         assert verdict[0] is False
     with pytest.raises(ValueError, match="g2"):

@@ -266,6 +266,22 @@ def test_save_models_binds_each_checkpoint_by_its_models(tmp_path, ieee13):
     assert not (tmp_path / "agent1").exists()
 
 
+def test_a_save_over_a_larger_save_leaves_only_its_own_checkpoints(tmp_path, ieee13):
+    # A single-agent save over a multi-agent one loads back as that one agent:
+    # the earlier save's checkpoint_agent1.json goes, and an unrelated file stays.
+    multi, _ = train(ieee13, quick_cfg(seed=6, episodes=2))
+    single, _ = train(ieee13, quick_cfg(seed=6, episodes=2, agent_mode="single"))
+    save_models(tmp_path, ieee13, multi)
+    (tmp_path / "notes.txt").write_text("kept")
+    written = save_models(tmp_path, ieee13, single)
+    nets, slots = load_models(tmp_path, ieee13)
+    assert slots == agent_slots(ieee13, "single") and len(nets) == 1
+    assert nets[0].weights[0].tobytes() == single[0].main.weights[0].tobytes()
+    execute(nets, ieee13, max_steps=2, slots=slots)
+    assert written == [str(tmp_path / "checkpoint_agent0.json")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_agent0.json", "notes.txt"]
+
+
 # fault: (where in agent 1's checkpoint, the value put there, expected message);
 # an empty path replaces the whole document.
 CHECKPOINT_FAULTS = {
