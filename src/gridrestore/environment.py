@@ -12,8 +12,8 @@ Verdicts are solved and memoized per island (see ``powerflow.islands``): a
 state is feasible when every island's sub-state is. Each island's bits, an
 integer code (bit j is its j-th breaker), are kept across steps and moved by
 Python int operations; a code is looked up in the island's shared verdict
-mapping, ``powerflow.verdict_lookup``, where a page of codes (the oracle's
-batch) is solved only on a miss. The mappings belong to the feeder object,
+mapping, ``powerflow.verdict_lookup``; a miss solves and stores every code
+of its page (the oracle's batch). The mappings belong to the feeder object,
 shared by every environment on it and freed with it; so in ``compare`` the
 first variant pays the page fills. ``validate_joint`` is a pure query and
 ``step`` the only mutator; each looks up its joint's codes once.

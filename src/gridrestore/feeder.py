@@ -13,6 +13,7 @@ each value by its field's declared type.
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 FORMAT_VERSION = 1
@@ -173,6 +174,13 @@ def validate_feeder(feeder: Feeder) -> list[str]:
         v.append("non-positive s_base_kva")
     if feeder.v_base_kv <= 0:
         v.append("non-positive v_base_kv")
+    # NaN and infinity pass every comparison below that would catch them.
+    v.extend(f"non-finite {name}" for name in ("s_base_kva", "v_base_kv")
+             if not math.isfinite(getattr(feeder, name)))
+    for key, kind, cls in _ELEMENTS:
+        names = [f.name for f in fields(cls) if f.type is float]
+        v.extend(f"non-finite {name} on {kind} {e.id}" for e in getattr(feeder, key)
+                 for name in names if not math.isfinite(getattr(e, name)))
 
     for b in feeder.buses:
         if not (0 < b.v_min < b.v_max):
@@ -306,7 +314,10 @@ def load_feeder(source) -> Feeder:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FeederParseError(f"not UTF-8: {e}") from None
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as e:

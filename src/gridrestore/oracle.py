@@ -16,8 +16,8 @@ Two strategies:
     island's sub-state is, weighted power is the sum over islands, and the
     optimum, feasible count and tie-breaks all decompose: 2^10 + 2^5 + 2^3 +
     2^3 + 2^5 island sub-states instead of 2^26 on the 123-node study feeder.
-    Each island's pages (``powerflow.page_states``, the environment's verdict
-    pages) are solved one ``powerflow.solve_batch`` call each and not kept.
+    Each island's pages (``powerflow.page_states``, which fill the verdict
+    mapping) are solved one ``powerflow.solve_batch`` call each and not kept.
 
 ``evaluated_count`` is always 2^B, the configurations the result covers;
 ``solved_count`` is how many power flows were actually run.

@@ -39,7 +39,8 @@ change and sums each row's losses once, after the loop, from its per-root
 currents at its stop; a one-root page with no dispatch skips the reach mask
 and owns every energized line; served kW is summed per served-load count,
 over one gathered block; the check keeps only each constraint's pass flag.
-Every array it keeps equals that of the full evaluation bit for bit.
+Every array it keeps equals that of the full evaluation bit for bit; the
+verdict memo (``verdict_lookup``) holds a page's rows as Python values only.
 
 De-energized buses report 1.0 p.u. by convention, carry no load, and are
 excluded from flows and from the voltage constraint. Divergence never raises;
@@ -51,7 +52,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from typing import NamedTuple
 
 import numpy as np
@@ -226,7 +227,6 @@ class _NetworkIndex:
         self.islands: tuple[Island, ...] | None = None
         # Codes per verdict page, fixed here: a later budget reaches new feeders only.
         self.page_rows = max(1, _BATCH_CELLS // max(1, self.n_buses))
-        self.pages: dict[int, BatchVerdicts] = {}
         self.verdicts = _Verdicts(feeder)
 
     def tree(self, start: int) -> list[tuple[int, int, int]]:
@@ -507,25 +507,24 @@ def page_states(feeder: Feeder, page: int) -> np.ndarray:
 
 
 class _Verdicts(dict):
-    """``code -> (feasible, served kW, weighted kW)`` as Python values; a missing
-    code is read from its page (``solve_batch``'s arrays), solved if not yet held."""
+    """``code -> (feasible, served kW, weighted kW)`` as Python values, the only verdict
+    store: a missing code solves its page (``solve_batch``) and holds every row of it."""
 
     def __init__(self, feeder: Feeder):
         self.feeder = weakref.ref(feeder)  # the index holds this: no cycle keeps the feeder
 
     def __missing__(self, code: int) -> tuple[bool, float, float]:
         feeder = self.feeder()
-        idx = _network_index(feeder)
-        page, row = divmod(code, idx.page_rows)
-        if (v := idx.pages.get(page)) is None:
-            v = idx.pages[page] = solve_batch(feeder, page_states(feeder, page))
-        out = self[code] = v.feasible.item(row), v.served_kw.item(row), v.weighted_kw.item(row)
-        return out
+        page, row = divmod(code, _network_index(feeder).page_rows)
+        v = solve_batch(feeder, page_states(feeder, page))
+        held = list(zip(v.feasible.tolist(), v.served_kw.tolist(), v.weighted_kw.tolist()))
+        self.update(zip(count(code - row), held))
+        return held[row]
 
 
 def verdict_lookup(feeder: Feeder) -> _Verdicts:
-    """The ``code -> (feasible, served kW, weighted kW)`` mapping (bit j of a code
-    is breaker j) that every lookup on the feeder object shares: a hit is one dict read."""
+    """The feeder object's shared ``code -> (feasible, served kW, weighted kW)`` mapping, bit
+    j of a code breaker j: a hit is one dict read, and its ``len`` counts the codes solved."""
     return _network_index(feeder).verdicts
 
 

@@ -4,10 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gridrestore import builtin_feeder
+
+# Every property runs the same examples on every run and keeps no example
+# database; solve times vary with host load, so no per-example deadline.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def _openblas_core():
@@ -64,8 +70,8 @@ def ieee123():
 def fresh_feeder():
     """``builtin_feeder`` for tests that count solves or page fills.
 
-    The session feeders above carry the verdict pages every earlier test
+    The session feeders above carry the verdict mappings every earlier test
     filled, so a count on them would depend on test order. A feeder object
-    built here has no pages, and the test holds its only reference.
+    built here has empty mappings, and the test holds its only reference.
     """
     return builtin_feeder

@@ -174,6 +174,8 @@ def test_parse_errors():
         load_feeder(json.dumps({"buses": []}))
     with pytest.raises(FeederParseError, match="format_version"):
         load_feeder(json.dumps({"format_version": 99}))
+    with pytest.raises(FeederParseError, match="^not UTF-8: "):
+        load_feeder(b"\xff\xfe{}")
 
 
 @pytest.mark.parametrize("edit, where", [
@@ -232,6 +234,32 @@ def test_malformed_partition_is_a_parse_error(ieee13, partition, message):
     doc["partition"] = partition
     with pytest.raises(FeederParseError, match=message):
         load_feeder(json.dumps(doc))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("edits, violations", [
+    ([("lines", 0, "resistance", NAN)], ["non-finite resistance on line bb1"]),
+    ([("lines", 1, "s_rating", INF)], ["non-finite s_rating on line bb2"]),
+    ([("lines", 2, "resistance", NAN), ("lines", 2, "reactance", INF)],
+     ["non-finite resistance on line lat1", "non-finite reactance on line lat1"]),
+    ([("generators", 0, "p_max", NAN)], ["non-finite p_max on generator g1"]),
+    ([("loads", 0, "p_rated", NAN)], ["non-finite p_rated on load load1"]),
+    ([(None, None, "s_base_kva", NAN)], ["non-finite s_base_kva"]),
+    ([(None, None, "v_base_kv", INF)], ["non-finite v_base_kv"]),
+], ids=["resistance-nan", "s-rating-inf", "two-fields", "p-max-nan", "p-rated-nan",
+        "s-base-nan", "v-base-inf"])
+def test_non_finite_values_are_violations(ieee13, edits, violations):
+    # NaN passes every comparison that would reject it; left in, it loads
+    # clean and leaves no island state feasible. JSON's NaN and Infinity
+    # literals are what json.dumps writes for these values.
+    doc = json.loads(serialize_feeder(ieee13))
+    for key, i, name, value in edits:
+        (doc[key][i] if key else doc)[name] = value
+    with pytest.raises(FeederValidationError) as err:
+        load_feeder(json.dumps(doc))
+    assert err.value.violations == violations
 
 
 def test_validation_error_lists_violations(ieee13):
