@@ -25,7 +25,7 @@ print(f"oracle optimum: {oracle.best_served_kw:.0f} kW via "
       f"{[feeder.breakers[i].id for i, s in enumerate(oracle.best_states) if s]}")
 
 config = TrainingConfig(episodes=500, hyper=Hyperparameters(seed=2))
-print(f"\ntraining 2 agents, {config.episodes} episodes, masking on, seed {config.seed} ...")
+print(f"\ntraining 2 agents, {config.episodes} episodes, masking on, seed {config.hyper.seed} ...")
 models, logs = train(feeder, config)
 
 rewards = np.array([log.reward for log in logs])

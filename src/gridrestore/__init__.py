@@ -40,12 +40,7 @@ from .feeder import (
     validate_feeder,
 )
 from .masking import MaskingError, exploit_joint, explore_joint
-from .oracle import (
-    OracleResult,
-    TooManyBreakers,
-    brute_force,
-    decomposed_optimum,
-)
+from .oracle import OracleResult, TooManyBreakers, brute_force
 from .powerflow import (
     ConstraintReport,
     Island,

@@ -4,7 +4,8 @@ Subcommands: train, eval, oracle, compare, powerflow, validate. ``SETTINGS``
 states the training settings once, with defaults read from ``TrainingConfig()``;
 ``train``, ``eval`` and each ``compare`` variant resolve them on one path
 (defaults <- config file <- flags), and one reader casts every value, naming
-the key it cannot read. ``--print-config`` shows the result; ``train`` writes
+the key it cannot read; ``eval`` has flags only for the two it reads, ``feeder``
+and ``execute_steps``. ``--print-config`` shows the result; ``train`` writes
 it next to its outputs. Seeds are mandatory. No environment variable is read.
 """
 
@@ -147,8 +148,9 @@ def _training_config(resolved: dict) -> TrainingConfig:
                           schedule=EpsilonSchedule(**parts["schedule"]))
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    for key, _, help_text in SETTINGS:
+def _add_config_flags(p: argparse.ArgumentParser, settings) -> None:
+    """One flag per row of ``settings``, then ``--config`` and ``--print-config``."""
+    for key, _, help_text in settings:
         p.add_argument("--" + key.replace("_", "-"), dest=key, choices=CHOICES.get(key),
                        help=help_text)
     p.add_argument("--config", help="JSON config file (flags override it)")
@@ -288,12 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train restoration agents")
-    _add_train_flags(p)
+    _add_config_flags(p, SETTINGS)
     p.add_argument("--out", default="runs/train", help="output directory")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="greedy decentralized rollout from checkpoints")
-    _add_train_flags(p)
+    _add_config_flags(p, [row for row in SETTINGS if row[1] is None])  # feeder, execute_steps
     p.add_argument("--checkpoints", required=True,
                    help="directory holding checkpoint_agent*.json")
     p.add_argument("--out", default="runs/eval", help="output directory")

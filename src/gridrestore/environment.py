@@ -14,9 +14,8 @@ integer code (bit j is its j-th breaker), are kept across steps and moved by
 Python int operations; a code is looked up in the island's shared verdict
 mapping, ``powerflow.verdict_lookup``; a miss solves and stores every code
 of its page (the oracle's batch). The mappings belong to the feeder object,
-shared by every environment on it and freed with it; so in ``compare`` the
-first variant pays the page fills. ``validate_joint`` is a pure query and
-``step`` the only mutator; each looks up its joint's codes once.
+shared by every environment on it and freed with it. ``validate_joint`` is a
+pure query and ``step`` the only mutator; each looks up its joint's codes once.
 
 Two reward modes:
 

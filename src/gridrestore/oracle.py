@@ -77,7 +77,7 @@ def _brute_force_naive(feeder: Feeder) -> OracleResult:
     return OracleResult(best[1], best[2], best[3], feasible, total, "naive", total)
 
 
-def decomposed_optimum(feeder: Feeder) -> OracleResult:
+def _brute_force_decomposed(feeder: Feeder) -> OracleResult:
     """Exact optimum via enumeration of each island's sub-feeder on its own,
     one ``solve_batch`` call per page of the island."""
     for _, sub in islands(feeder):
@@ -120,7 +120,7 @@ def brute_force(feeder: Feeder, method: str = "decomposed") -> OracleResult:
     if method == "naive":
         return _brute_force_naive(feeder)
     if method == "decomposed":
-        return decomposed_optimum(feeder)
+        return _brute_force_decomposed(feeder)
     raise ValueError(f"unknown oracle method {method!r}")
 
 
@@ -145,17 +145,17 @@ def save_result(path, feeder: Feeder, result: OracleResult) -> None:
         fh.write("\n")
 
 
-def load_result(path, feeder: Feeder | None = None) -> OracleResult | None:
+def load_result(path, feeder: Feeder) -> OracleResult | None:
     """Load a cached oracle result; None if missing, malformed or for another feeder.
-    Counts must be JSON integers, states 0s and 1s, one per breaker of ``feeder``, kW
-    values finite, non-negative numbers, and a ``method``, if given, naive or decomposed."""
+    Counts must be non-negative JSON integers, ``evaluated_count`` 2^B for the B breakers
+    of ``feeder`` and ``feasible_count`` at most that; states 0s and 1s, one per breaker;
+    kW values finite, non-negative numbers; and a ``method``, if given, naive or decomposed."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if not isinstance(doc, dict) or (
-            feeder is not None and doc.get("feeder_hash") != feeder_hash(feeder)):
+    if not isinstance(doc, dict) or doc.get("feeder_hash") != feeder_hash(feeder):
         return None
     try:
         states, counts = doc["best_states"], [doc["feasible_count"], doc["evaluated_count"]]
@@ -164,8 +164,8 @@ def load_result(path, feeder: Feeder | None = None) -> OracleResult | None:
         if (type(states) is not list or any(type(v) is not int for v in states + counts)
                 or any(type(v) not in (int, float) or not 0 <= v < float("inf") for v in kws)
                 or "method" in doc and method not in ("naive", "decomposed")
-                or not set(states) <= {0, 1}
-                or feeder is not None and len(states) != feeder.n_breakers):
+                or not set(states) <= {0, 1} or len(states) != feeder.n_breakers
+                or min(counts) < 0 or not counts[0] <= counts[1] == 2 ** feeder.n_breakers):
             return None
         return OracleResult(tuple(states), *map(float, kws), *counts[:2], method, counts[2])
     except (KeyError, TypeError, ValueError, OverflowError):  # a field of the wrong type

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,9 @@ COMPARISON_HEADER = [
     "violations",
     "wall_clock_s",
 ]
+WINDOW = 50            # episodes in a convergence mean and in compare's final50 statistics
+SETTLED = 0.95         # share of the best episode reward a converged mean reaches
+PICKUP_TOL_KW = 1e-6   # served-power rise that counts as a load pickup
 
 
 @dataclass
@@ -65,13 +68,11 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be at least {least} and an int, not {value!r}")
         if self.agent_mode not in ("multi", "single"):
             raise ValueError(f"unknown agent_mode {self.agent_mode!r}")
+        if type(self.masking) is not bool:  # "off" is truthy and would train masked
+            raise ValueError(f"masking must be a bool, not {self.masking!r}")
         check_penalty(self.penalty)
         if any(type(h) is not int or h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden layer sizes must be at least 1 and ints, got {self.hidden_sizes}")
-
-    @property
-    def seed(self) -> int:
-        return self.hyper.seed
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,14 @@ class RestorationTrace:
     def total_violations(self) -> int:
         return sum(e.violation for e in self._steps())
 
-    def pickup_steps_to_states(self, states, tol: float = 1e-6) -> int | None:
-        """Serving-increase steps until a breaker configuration is first hit."""
+    def pickup_steps_to_states(self, states) -> int | None:
+        """Serving-increase steps (a rise above ``PICKUP_TOL_KW``) until a breaker
+        configuration is first hit."""
         target = tuple(states)
         pickups = 0
         prev = 0.0
         for served, reached in zip(self.served_series(), self.step_states):
-            if served > prev + tol:
+            if served > prev + PICKUP_TOL_KW:
                 pickups += 1
             prev = served
             if reached == target:
@@ -160,10 +162,10 @@ def train(feeder: Feeder, cfg: TrainingConfig):
         max_steps=cfg.steps_per_episode,
         agent_breakers=slots,
     )
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.hyper.seed)
     learner = StackedLearner([
         AgentPair.initialized([len(g), *cfg.hidden_sizes, 2 * len(g)],
-                              np.random.default_rng([cfg.seed, i]))
+                              np.random.default_rng([cfg.hyper.seed, i]))
         for i, g in enumerate(slots)
     ], cfg.hyper.capacity)
     counts = env.action_space_sizes()
@@ -261,33 +263,32 @@ def execute(
     return RestorationTrace(entries, step_states)
 
 
-def convergence_episode(
-    rewards, window: int = 50, fraction: float = 0.95
-) -> int | None:
-    """First episode whose forward ``window``-mean comes within
-    ``1 - fraction`` of the run's best episode reward, as a share of its
-    magnitude (``fraction * best``, or ``best - (1 - fraction) * |best|`` when
+def convergence_episode(rewards) -> int | None:
+    """First episode whose forward ``WINDOW``-episode mean comes within
+    ``1 - SETTLED`` of the run's best episode reward, as a share of its
+    magnitude (``SETTLED * best``, or ``best - (1 - SETTLED) * |best|`` when
     the best is negative); None when the run never settles."""
     r = np.asarray(list(rewards), dtype=float)
-    if len(r) < window or len(r) == 0:
+    if len(r) < WINDOW:
         return None
     best = r.max()
-    target = fraction * best if best >= 0 else best - (1 - fraction) * abs(best)
-    sums = np.convolve(r, np.ones(window), mode="valid") / window
+    target = SETTLED * best if best >= 0 else best - (1 - SETTLED) * abs(best)
+    sums = np.convolve(r, np.ones(WINDOW), mode="valid") / WINDOW
     hits = np.flatnonzero(sums >= target)
     return int(hits[0]) if len(hits) else None
 
 
 def compare(feeder: Feeder, variants) -> list[dict]:
-    """Train each (label, config) variant and tabulate the outcomes. The first
-    variant's ``wall_clock_s`` includes the verdict page fills later ones reuse."""
+    """Train each (label, config) variant and tabulate the outcomes. Each variant
+    trains on its own equal copy of ``feeder``, whose verdict mappings start
+    empty, so its ``wall_clock_s`` includes its own page fills."""
     rows: list[dict] = []
     for label, cfg in variants:
         start = time.perf_counter()
-        models, logs = train(feeder, cfg)
+        models, logs = train(replace(feeder), cfg)
         wall = time.perf_counter() - start
         rewards = [log.reward for log in logs]
-        tail = rewards[-50:] if rewards else []
+        tail = rewards[-WINDOW:]
         conv = convergence_episode(rewards)
         rows.append(
             {

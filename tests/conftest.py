@@ -9,6 +9,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gridrestore import builtin_feeder
+from reference import subcommand_flags
 
 # Every property runs the same examples on every run and keeps no example
 # database; solve times vary with host load, so no per-example deadline.
@@ -44,8 +45,10 @@ def pytest_report_header(config):
     # The golden digests, the stacked learner's padding exactness and its
     # bootstrap tables were measured with one BLAS build and run-time kernel;
     # name both so a failure elsewhere can be read. The source line count
-    # shows the package's size against its line budget in every run.
-    lines = f"src/ {_source_lines():,} lines"
+    # and each subcommand's flag count show the package's size and its
+    # settable surface in every run.
+    flags = ", ".join(f"{name} {len(opts)}" for name, opts in subcommand_flags().items())
+    lines = f"src/ {_source_lines():,} lines; flags {flags}"
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 only prints its config

@@ -11,11 +11,13 @@ It also holds ``train_in_workers``, which the acceptance fixtures use to run
 independent seeded trainings in parallel processes; ``verdict_pages`` and
 ``digest``, the page loop and the hash the solver's pinned digests share; and
 ``candidate_states``, ``island_codes`` and ``state_verdict``, the evaluation of
-a whole breaker-state vector that the environment's island codes must match.
+a whole breaker-state vector that the environment's island codes must match;
+and ``subcommand_flags``, the option strings of each command-line subcommand.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import multiprocessing
@@ -27,6 +29,7 @@ import numpy as np
 
 from gridrestore.agent import AgentPair, Hyperparameters, QNetwork, StackedLearner
 from gridrestore.builtins import builtin_feeder
+from gridrestore.cli import build_parser
 from gridrestore.feeder import (
     Breaker,
     Bus,
@@ -683,3 +686,11 @@ def train_in_workers(name: str, cfgs: list[TrainingConfig]) -> list:
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
         return list(pool.map(train_builtin, [name] * len(cfgs), cfgs))
+
+
+def subcommand_flags() -> dict[str, list[str]]:
+    """Each ``gridrestore`` subcommand's option strings, in the order its parser
+    adds them; ``--help`` is left out and positional arguments have none."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [s for a in p._actions if a.dest != "help" for s in a.option_strings]
+            for name, p in sub.choices.items()}

@@ -6,6 +6,7 @@ import pytest
 
 from gridrestore import Hyperparameters, TrainingConfig, serialize_feeder
 from gridrestore.cli import DEFAULTS, _training_config, main
+from reference import subcommand_flags
 
 
 def run(capsys, *argv):
@@ -141,8 +142,8 @@ def test_train_eval_round_trip(capsys, tmp_path):
     assert resolved["seed"] == 7 and resolved["episodes"] == 3
 
     eval_out = tmp_path / "eval"
-    code, stdout, _ = run(
-        capsys, "eval", "--feeder", "ieee13", "--checkpoints", str(out),
+    code, stdout, _ = run(  # train's config.json names the feeder
+        capsys, "eval", "--config", str(out / "config.json"), "--checkpoints", str(out),
         "--execute-steps", "5", "--out", str(eval_out),
     )
     assert code == 0
@@ -232,9 +233,9 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
 def test_config_file_errors_name_the_file(capsys, tmp_path, command, text, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(text)
-    extra = ("--checkpoints", str(tmp_path)) if command == "eval" else ()
+    extra = ("--checkpoints", str(tmp_path)) if command == "eval" else ("--seed", "1")
     out = tmp_path / "r"
-    code, _, err = run(capsys, command, "--feeder", "ieee13", "--seed", "1",
+    code, _, err = run(capsys, command, "--feeder", "ieee13",
                        "--config", str(cfg), *extra, "--out", str(out))
     assert code == 1
     assert err.startswith(f"error: config file {cfg}: ") and message in err
@@ -379,3 +380,24 @@ def test_help_for_every_subcommand(capsys):
             main([sub, "--help"])
         assert exc.value.code == 0
         assert "--feeder" in capsys.readouterr().out
+
+
+def test_each_subcommand_takes_exactly_its_flags(capsys, tmp_path):
+    # eval reads only feeder and execute_steps; train keeps every setting, and
+    # records execute_steps in config.json for a later eval --config.
+    assert subcommand_flags() == {
+        "train": ["--feeder", "--episodes", "--steps", "--sync-interval", "--mask", "--agents",
+                  "--penalty", "--hidden", "--gamma", "--alpha", "--eta", "--batch-size",
+                  "--capacity", "--eps-min", "--eps-max", "--decay", "--seed",
+                  "--execute-steps", "--config", "--print-config", "--out"],
+        "eval": ["--feeder", "--execute-steps", "--config", "--print-config", "--checkpoints",
+                 "--out"],
+        "oracle": ["--feeder", "--method", "--force", "--out"],
+        "compare": ["--feeder", "--seed", "--out", "--print-config"],
+        "powerflow": ["--feeder", "--states", "--out"],
+        "validate": ["--feeder"],
+    }
+    with pytest.raises(SystemExit) as exc:  # greedy execution draws no random numbers
+        main(["eval", "--feeder", "ieee13", "--checkpoints", str(tmp_path), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridrestore import (
     Breaker,
@@ -18,7 +21,6 @@ from gridrestore import (
     TooManyBreakers,
     brute_force,
     check_constraints,
-    decomposed_optimum,
     islands,
     restored_power,
     solve,
@@ -226,7 +228,7 @@ def test_decomposition_is_exact_on_entangled_microgrids():
         partition=MicrogridPartition((("cb1",), ("cb2",))),
     )
     assert len(islands(feeder)) == 1
-    assert strip_method(decomposed_optimum(feeder)) == strip_method(
+    assert strip_method(brute_force(feeder)) == strip_method(
         brute_force(feeder, method="naive")
     )
     assert brute_force(feeder).method == "decomposed"
@@ -442,10 +444,6 @@ def test_result_cache_round_trip(tmp_path, ieee13):
     assert load_result(path, ieee13).method == "cached"
 
 
-def _two_states(doc):
-    return {**doc, "best_states": [0, 1]}
-
-
 @pytest.mark.parametrize("edit", [
     lambda doc: [1, 2],
     lambda doc: {**doc, "best_states": 5},
@@ -465,16 +463,56 @@ def _two_states(doc):
     lambda doc: {**doc, "best_served_kw": float("inf")},
     lambda doc: {**doc, "best_served_kw": -1e300},
     lambda doc: {**doc, "best_weighted_kw": 10 ** 400},
-    _two_states,
+    lambda doc: {**doc, "best_states": [0, 1]},
+    lambda doc: {**doc, "feasible_count": -5},
+    lambda doc: {**doc, "evaluated_count": 7},
+    lambda doc: {**doc, "solved_count": -1},
+    lambda doc: {**doc, "feasible_count": 1000000},
 ], ids=["top-level-list", "int-states", "null-count", "list-kw", "fractional-states",
         "bool-state", "state-of-2", "fractional-feasible-count", "fractional-solved-count",
         "bool-evaluated-count", "string-weighted-kw", "bool-served-kw", "integer-method",
         "unknown-method", "nan-weighted-kw", "infinite-served-kw", "negative-served-kw",
-        "overflowing-weighted-kw", "two-states-for-nine-breakers"])
+        "overflowing-weighted-kw", "two-states-for-nine-breakers", "negative-feasible-count",
+        "evaluated-count-not-2^B", "negative-solved-count", "more-feasible-than-evaluated"])
 def test_result_cache_that_is_malformed_is_a_miss(tmp_path, ieee13, edit):
     path = tmp_path / "oracle.json"
     save_result(path, ieee13, brute_force(ieee13))
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     assert load_result(path, ieee13) is None
-    # Without a feeder there is no breaker count to hold the states to.
-    assert (load_result(path) is None) != (edit is _two_states)
+
+
+_CACHE_KEYS = ["best_served_kw", "best_states", "best_weighted_kw", "evaluated_count",
+               "feasible_count", "feeder_hash", "format_version", "method", "solved_count",
+               "timestamp"]
+
+
+@pytest.fixture(scope="module")
+def cached13(tmp_path_factory, ieee13):
+    path = tmp_path_factory.mktemp("cache") / "oracle.json"
+    save_result(path, ieee13, brute_force(ieee13))
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == _CACHE_KEYS
+    return path, doc
+
+
+# Any JSON value an edit could leave in a field: null, bools, ints, floats
+# (NaN and infinities included, as json writes them), strings and lists.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=10), max_leaves=12)
+
+
+@settings(max_examples=200)
+@given(key=st.sampled_from(_CACHE_KEYS), value=_JSON_VALUES)
+def test_a_cache_with_one_field_replaced_loads_consistent_or_misses(cached13, ieee13, key,
+                                                                    value):
+    path, doc = cached13
+    path.write_text(json.dumps({**doc, key: value}))
+    result = load_result(path, ieee13)
+    if result is not None:
+        n = ieee13.n_breakers
+        assert len(result.best_states) == n and set(result.best_states) <= {0, 1}
+        assert all(math.isfinite(kw) and kw >= 0
+                   for kw in (result.best_weighted_kw, result.best_served_kw))
+        assert 0 <= result.feasible_count <= result.evaluated_count == 2 ** n
+        assert result.solved_count >= 0

@@ -21,6 +21,7 @@ from gridrestore import (
     write_episodes_csv,
     write_trace_csv,
 )
+from gridrestore import powerflow, training
 from gridrestore.training import (
     COMPARISON_HEADER,
     EPISODES_HEADER,
@@ -76,6 +77,14 @@ def test_config_rejects_a_count_that_is_not_an_int(name, value):
     least = 0 if name == "episodes" else 1
     with pytest.raises(ValueError, match=f"^{name} must be at least {least} and an int, not {re.escape(repr(value))}$"):
         TrainingConfig(**{name: value})
+
+
+@pytest.mark.parametrize("masking", ["off", "no", 0, None, 1, np.bool_(True)],
+                         ids=["off", "no", "0", "None", "1", "numpy-bool"])
+def test_config_rejects_a_masking_that_is_not_a_bool(masking):
+    # "off" and "no" are truthy and trained masked; 0 and None trained with penalties.
+    with pytest.raises(ValueError, match=f"^masking must be a bool, not {re.escape(repr(masking))}$"):
+        TrainingConfig(masking=masking)
 
 
 @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf"), "x", True])
@@ -205,15 +214,15 @@ def test_execute_requires_matching_models(ieee13):
 
 def test_convergence_episode_on_synthetic_series():
     flat = [1.0] * 100
-    assert convergence_episode(flat, window=50) == 0
+    assert convergence_episode(flat) == 0
     ramp = list(np.linspace(0, 10, 200)) + [10.0] * 60
-    e = convergence_episode(ramp, window=50)
+    e = convergence_episode(ramp)
     assert e is not None and 150 < e <= 210
-    assert convergence_episode([1.0] * 10, window=50) is None
+    assert convergence_episode([1.0] * 10) is None
     # A run whose best episode is negative settles within 5% of its magnitude.
-    assert convergence_episode([-1.0] * 100, window=50) == 0
+    assert convergence_episode([-1.0] * 100) == 0
     rising = list(np.linspace(-10, -1, 200)) + [-1.0] * 60
-    e = convergence_episode(rising, window=50)
+    e = convergence_episode(rising)
     assert e is not None and 150 < e <= 210
 
 
@@ -337,6 +346,30 @@ def test_compare_emits_one_row_per_variant(tmp_path, ieee13):
     write_comparison_csv(path, rows)
     header = list(csv.reader(path.open()))[0]
     assert header == COMPARISON_HEADER
+
+
+def test_compare_times_each_variant_with_its_own_page_fills(ieee13, monkeypatch):
+    # Each variant trains on its own copy of the feeder, so the verdict pages it
+    # needs are solved inside its wall_clock_s and not reused from the one before.
+    batches, per_variant = [], []
+    solve_batch, train_alone = powerflow.solve_batch, training.train
+
+    def counted_batch(*args):
+        batches.append(args)
+        return solve_batch(*args)
+
+    def counted_train(feeder, cfg):
+        before = len(batches)
+        trained = train_alone(feeder, cfg)
+        per_variant.append(len(batches) - before)
+        return trained
+
+    monkeypatch.setattr(powerflow, "solve_batch", counted_batch)
+    monkeypatch.setattr(training, "train", counted_train)
+    rows = compare(ieee13, [("a", quick_cfg(seed=4)), ("b", quick_cfg(seed=4))])
+    assert per_variant[0] == per_variant[1] > 0
+    same = [{k: v for k, v in row.items() if k not in ("variant", "wall_clock_s")} for row in rows]
+    assert same[0] == same[1]
 
 
 def test_trace_reward_column_is_normalized_power(ieee13):
